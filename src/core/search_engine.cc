@@ -14,7 +14,6 @@
 #include "core/shard_plan.h"
 #include "obs/query_metrics.h"
 #include "obs/trace.h"
-#include "simd/kernels.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/top_k.h"
@@ -463,22 +462,47 @@ const std::vector<TableId>& FilterTombstoned(
 
 // --- Admissible upper bound (bound-and-prune pass) -------------------------
 //
-// For each query entity e_i, one batched σ over a table's whole
-// distinct-entity union gives u_i = max_e σ(e_i, e). Under kMax the exact
-// aggregated coordinate is a max over the mapped column's entities — a
-// subset of the union — so agg_i <= u_i with the very same σ doubles (no
-// floating-point slack needed: max is exact). Under kAvg the coordinate is
-// (Σ_d count_d · σ_d) / num_rows over the mapped column, and Σ_d count_d
-// <= num_rows, so mathematically agg_i <= max_d σ_d <= u_i; a 1e-9
-// multiplicative slack (clamped to 1.0, which stays admissible because the
-// distance term vanishes there) absorbs the summation's rounding.
-// DistanceSimilarity is monotone in each coordinate, so evaluating it on
-// the u_i with the exact per-tuple weights bounds every tuple score, and
-// the tuple average bounds the table score; a final 1e-12 multiplicative
-// slack covers the non-monotonicity of the *evaluated* (rounded) distance
-// near equal inputs. When every u_i is zero the exact score is exactly 0
-// (no σ > 0 anywhere means no relevant mapping), so 0 is returned and the
-// caller may skip the table outright.
+// Algorithm 1 maps a tuple's query entities to DISTINCT columns (Hungarian,
+// Sec. 5.1) and aggregates each entity's σ over its mapped column. The
+// bound follows both steps.
+//
+// 1. Per-(entity, column) maxima. For each distinct query entity e_i, one
+//    batched σ over the table's distinct-entity union — the column slices
+//    laid end to end — and a segmented max give
+//    M[i][c] = max(0, max over column c's entities of σ(e_i, ·)). Under
+//    kMax the exact coordinate of a position mapped to column c is exactly
+//    M[i][c] (the same σ doubles; max is exact); an unmapped position's is
+//    0. Under kAvg it is (Σ_d count_d · σ_d) / num_rows over the mapped
+//    column, and Σ_d count_d <= num_rows, so mathematically it is
+//    <= M[i][c]; a 1e-9 multiplicative slack (clamped to 1.0, admissible
+//    because the distance term vanishes there) absorbs the summation's
+//    rounding.
+// 2. Best injective partial assignment. The exact mapping is one injective
+//    partial position → column assignment, so the minimum over all of them
+//    of Σ_i w_i (1 − x_i)², with x_i the (slacked) M[i][τ(i)] and an
+//    unmapped position costing w_i, is at most the exact tuple distance.
+//    The search sums the terms exactly as DistanceSimilarity does — same
+//    expression, same order — and rounded +, − and × are monotone, so the
+//    minimum over the rounded sums is at most the rounded sum the scorer
+//    computes: under kMax the exact mapping evaluates to the scorer's
+//    distance bit for bit, and no slack beyond kAvg's is needed.
+//
+// DistanceSimilarity decreases monotonically in the distance, so the
+// per-tuple bound dominates the exact tuple score and the tuple average
+// dominates the table score. A final 1e-12 multiplicative slack keeps a
+// positive bound strictly above its exact score, so a candidate tied with
+// the current threshold is never skipped on bound alone. When every
+// M[i][c] is zero the exact score is exactly 0 (no σ > 0 anywhere means no
+// relevant mapping), so 0 is returned and the caller may skip the table.
+
+// Limits of one tuple's assignment search. A tuple of width <= 4 needs at
+// most 1 + 5 + 25 + 125 + 625 = 781 nodes. A wider tuple whose search runs
+// out, and any tuple wider than kMaxSearchWidth, keeps each entity at its
+// own best column (the assignment-free bound), which is still admissible;
+// the limits only keep adversarially wide queries from costing more than
+// their exact scoring.
+constexpr size_t kAssignmentNodeBudget = 1024;
+constexpr size_t kMaxSearchWidth = 16;
 
 // Query-side constants of the bound, built once per query.
 struct BoundContext {
@@ -490,6 +514,9 @@ struct BoundContext {
   // Per non-empty tuple: the exact informativeness weights the scorer uses.
   std::vector<std::vector<double>> weights;
   size_t counted_tuples = 0;
+  // Columns the assignment search may need per entity: the widest
+  // non-empty tuple, capped at kMaxSearchWidth.
+  size_t search_width = 0;
 };
 
 constexpr size_t kNoSlot = static_cast<size_t>(-1);
@@ -500,9 +527,12 @@ void BuildBoundContext(const Query& query, const SemanticDataLake& lake,
   ctx->slots.clear();
   ctx->weights.clear();
   ctx->counted_tuples = 0;
+  ctx->search_width = 0;
   for (const auto& tq : query.tuples) {
     if (tq.empty()) continue;
     ++ctx->counted_tuples;
+    ctx->search_width = std::max(ctx->search_width,
+                                 std::min(tq.size(), kMaxSearchWidth));
     std::vector<size_t> slots(tq.size(), kNoSlot);
     std::vector<double> weights(tq.size(), 1.0);
     for (size_t i = 0; i < tq.size(); ++i) {
@@ -520,30 +550,213 @@ void BuildBoundContext(const Query& query, const SemanticDataLake& lake,
   }
 }
 
-// Per-worker buffers of the bound pass.
-struct BoundScratch {
-  std::vector<double> sigma;  // batched σ over one table's distinct union
-  std::vector<double> umax;   // per distinct query entity
-  std::vector<double> coords; // per tuple position, fed to the distance
+// Depth-first branch and bound over one tuple's injective partial
+// assignments. Positions are assigned in tuple order, so a node's partial
+// sum is the rounded prefix sum of every assignment below it, and adding a
+// completion's terms can only raise it.
+struct AssignmentSearch {
+  // Options of position i: slots [i * stride, i * stride + count[i]),
+  // cheapest first, the last one "unmapped" (column -1, coordinate 0).
+  size_t stride = 0;
+  std::vector<size_t> count;
+  std::vector<int> column;
+  std::vector<double> coord;
+  std::vector<double> term;
+  std::vector<int> chosen;     // column of each assigned position
+  std::vector<size_t> choice;  // option slot of each assigned position
+  std::vector<size_t> best;
+  double best_sum = 0.0;
+  size_t nodes = 0;
+
+  void Descend(size_t i, double partial) {
+    if (nodes == 0) return;
+    --nodes;
+    const size_t m = count.size();
+    if (i == m) {
+      if (partial < best_sum) {
+        best_sum = partial;
+        std::copy(choice.begin(), choice.end(), best.begin());
+      }
+      return;
+    }
+    // Every completion costs at least each remaining position's cheapest
+    // option, added in the same order.
+    double floor = partial;
+    for (size_t j = i; j < m; ++j) floor += term[j * stride];
+    if (floor >= best_sum) return;
+    for (size_t o = i * stride, end = o + count[i]; o < end; ++o) {
+      const int c = column[o];
+      bool taken = false;
+      for (size_t j = 0; j < i; ++j) taken |= chosen[j] == c;
+      if (taken && c >= 0) continue;
+      chosen[i] = c;
+      choice[i] = o;
+      Descend(i + 1, partial + term[o]);
+    }
+  }
 };
 
-// Assembly step of the bound, from the per-entity maxima u_i to the final
-// scalar. Factored out of UpperBoundWithView so the batch-fused table-major
-// pass — which computes the umax of a whole batch's entity UNION against a
-// slice and then gathers each query's subset — runs the exact same
-// arithmetic on the exact same doubles: a fused bound and a per-query bound
-// of the same (query, table) pair are bit-identical by construction.
-double AssembleBoundFromUmax(const BoundContext& ctx, size_t num_rows,
-                             const double* umax, size_t num_entities,
-                             RowAggregation aggregation,
-                             std::vector<double>& coords) {
+// Per-worker buffers of the bound pass.
+struct BoundScratch {
+  std::vector<double> sigma;   // batched σ over one table's distinct union
+  std::vector<double> colmax;  // M: num_columns maxima per query entity
+  // Per context entity: its row of M (into `colmax`, or into the fused
+  // pass's union-wide maxima).
+  std::vector<const double*> rows;
+  // Per context entity: the columns of its largest positive maxima,
+  // largest first (ties to the lower column), at most search_width of
+  // them, at top[entity * search_width]; top_count[entity] says how many.
+  std::vector<int> top;
+  std::vector<size_t> top_count;
+  std::vector<double> coords;  // per tuple position, fed to the distance
+  AssignmentSearch search;
+};
+
+// Segmented max of `count` σ rows (one per query entity, each over a
+// table's whole distinct union) into `count` rows of num_columns maxima:
+// column c's slice is [offsets[c], offsets[c + 1]) of the union. Starts at
+// 0 like the scorer's running max, so an empty column gets 0. A column
+// slice holds only a few entities, so one row's max chain is
+// latency-bound; four rows run interleaved.
+void ColumnMaxima(ColumnIndexView view, const double* sigma, size_t count,
+                  double* out) {
+  const size_t stride = view.DistinctCount();
+  const size_t num_columns = view.num_columns;
+  const uint32_t* offsets = view.offsets;
+  size_t q = 0;
+  for (; q + 4 <= count; q += 4) {
+    const double* s0 = sigma + q * stride - offsets[0];
+    const double* s1 = s0 + stride;
+    const double* s2 = s1 + stride;
+    const double* s3 = s2 + stride;
+    double* o = out + q * num_columns;
+    for (size_t c = 0; c < num_columns; ++c) {
+      double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
+      for (uint32_t d = offsets[c]; d < offsets[c + 1]; ++d) {
+        m0 = std::max(m0, s0[d]);
+        m1 = std::max(m1, s1[d]);
+        m2 = std::max(m2, s2[d]);
+        m3 = std::max(m3, s3[d]);
+      }
+      o[c] = m0;
+      o[num_columns + c] = m1;
+      o[2 * num_columns + c] = m2;
+      o[3 * num_columns + c] = m3;
+    }
+  }
+  for (; q < count; ++q) {
+    const double* s0 = sigma + q * stride - offsets[0];
+    for (size_t c = 0; c < num_columns; ++c) {
+      double m0 = 0.0;
+      for (uint32_t d = offsets[c]; d < offsets[c + 1]; ++d) {
+        m0 = std::max(m0, s0[d]);
+      }
+      out[q * num_columns + c] = m0;
+    }
+  }
+}
+
+// A maximum as the bound's coordinate: kAvg's rounding slack, see above.
+double BoundCoordinate(double m, RowAggregation aggregation) {
+  if (aggregation == RowAggregation::kAvg) {
+    return std::min(1.0, m * (1.0 + 1e-9));
+  }
+  return m;
+}
+
+// DistanceSimilarity's term, the same expression.
+double DistanceTerm(double weight, double x) {
+  double miss = 1.0 - x;
+  return weight * miss * miss;
+}
+
+// Overwrites `coords` with the coordinates of the injective partial
+// assignment minimizing the tuple distance. Only positions with a positive
+// maximum ("active") are assigned; the others cost w_i whatever column they
+// take. Each active position considers its `active` best columns: the
+// other active positions hold at most active − 1 columns, so one of them is
+// free and no worse than any column outside the list. Leaves `coords`
+// untouched when the node budget runs out.
+void MinimizeTupleDistance(const BoundContext& ctx, size_t t,
+                           RowAggregation aggregation,
+                           BoundScratch& scratch) {
+  const std::vector<size_t>& slots = ctx.slots[t];
+  const std::vector<double>& weights = ctx.weights[t];
+  AssignmentSearch& search = scratch.search;
+  const size_t m = slots.size();
+  size_t active = 0;
+  for (size_t s : slots) {
+    if (s != kNoSlot && scratch.top_count[s] > 0) ++active;
+  }
+  const size_t stride = active + 1;
+  search.stride = stride;
+  search.count.resize(m);
+  search.column.resize(m * stride);
+  search.coord.resize(m * stride);
+  search.term.resize(m * stride);
+  for (size_t i = 0; i < m; ++i) {
+    const size_t s = slots[i];
+    int* column = search.column.data() + i * stride;
+    double* coord = search.coord.data() + i * stride;
+    double* term = search.term.data() + i * stride;
+    size_t n = 0;
+    if (s != kNoSlot) {
+      const int* top = scratch.top.data() + s * ctx.search_width;
+      n = std::min(active, scratch.top_count[s]);
+      for (size_t o = 0; o < n; ++o) {
+        column[o] = top[o];
+        coord[o] = BoundCoordinate(scratch.rows[s][top[o]], aggregation);
+        term[o] = DistanceTerm(weights[i], coord[o]);
+      }
+    }
+    column[n] = -1;
+    coord[n] = 0.0;
+    term[n] = DistanceTerm(weights[i], 0.0);
+    search.count[i] = n + 1;
+  }
+  search.chosen.resize(m);
+  search.choice.resize(m);
+  search.best.resize(m);
+  search.best_sum = std::numeric_limits<double>::infinity();
+  search.nodes = kAssignmentNodeBudget;
+  search.Descend(0, 0.0);
+  if (search.nodes == 0) return;
+  for (size_t i = 0; i < m; ++i) {
+    scratch.coords[i] = search.coord[search.best[i]];
+  }
+}
+
+// Assembly step of the bound, from the per-(entity, column) maxima in
+// scratch.rows to the final scalar. The per-query pass and the batch-fused
+// table-major pass (which computes the maxima of a whole batch's entity
+// UNION against a slice and points each query's rows into them) both end
+// here, so a fused bound and a per-query bound of the same (query, table)
+// pair run the same arithmetic on the same doubles: bit-identical by
+// construction.
+double AssembleMappingBound(const BoundContext& ctx, size_t num_rows,
+                            size_t num_columns, RowAggregation aggregation,
+                            BoundScratch& scratch) {
   if (ctx.counted_tuples == 0 || num_rows == 0) return 0.0;
+  const size_t num_entities = ctx.entities.size();
+  const size_t width = ctx.search_width;
+  scratch.top.resize(num_entities * width);
+  scratch.top_count.resize(num_entities);
   bool any_positive = false;
   for (size_t q = 0; q < num_entities; ++q) {
-    if (umax[q] > 0.0) {
-      any_positive = true;
-      break;
+    // Insertion-select the `width` largest positive maxima: no searched
+    // tuple has more active positions than that.
+    const double* row = scratch.rows[q];
+    int* top = scratch.top.data() + q * width;
+    size_t n = 0;
+    for (size_t c = 0; c < num_columns; ++c) {
+      const double v = row[c];
+      if (v <= 0.0 || (n == width && v <= row[top[n - 1]])) continue;
+      size_t k = n < width ? n++ : n - 1;
+      for (; k > 0 && row[top[k - 1]] < v; --k) top[k] = top[k - 1];
+      top[k] = static_cast<int>(c);
     }
+    scratch.top_count[q] = n;
+    any_positive = any_positive || n > 0;
   }
   // No σ > 0 anywhere in the table ⇒ no relevant mapping ⇒ the exact
   // score is exactly 0, not merely bounded by it.
@@ -552,23 +765,28 @@ double AssembleBoundFromUmax(const BoundContext& ctx, size_t num_rows,
   double sum = 0.0;
   for (size_t t = 0; t < ctx.slots.size(); ++t) {
     const std::vector<size_t>& slots = ctx.slots[t];
+    std::vector<double>& coords = scratch.coords;
     coords.resize(slots.size());
+    // Each position at its own best column. When those columns are
+    // distinct this assignment is injective and every term is minimal, so
+    // it is the optimum and the search is skipped.
+    bool distinct = true;
     for (size_t i = 0; i < slots.size(); ++i) {
-      double u = slots[i] == kNoSlot ? 0.0 : umax[slots[i]];
-      if (aggregation == RowAggregation::kAvg) {
-        // Slack for the rounded column sum; clamping at 1.0 is admissible
-        // (the distance contribution of a coordinate is 0 there, <= any
-        // exact coordinate's contribution).
-        u = std::min(1.0, u * (1.0 + 1e-9));
+      const size_t s = slots[i];
+      coords[i] = 0.0;
+      if (s == kNoSlot || scratch.top_count[s] == 0) continue;
+      const int best = scratch.top[s * width];
+      coords[i] = BoundCoordinate(scratch.rows[s][best], aggregation);
+      for (size_t j = 0; j < i && distinct; ++j) {
+        distinct = slots[j] == kNoSlot || scratch.top_count[slots[j]] == 0 ||
+                   scratch.top[slots[j] * width] != best;
       }
-      coords[i] = u;
+    }
+    if (!distinct && slots.size() <= kMaxSearchWidth) {
+      MinimizeTupleDistance(ctx, t, aggregation, scratch);
     }
     sum += DistanceSimilarity(coords, ctx.weights[t]);
   }
-  // Final slack for the rounded distance evaluation itself. It also makes
-  // the bound of a table strictly exceed its exact score whenever that
-  // score is positive, so a candidate tied with the current threshold is
-  // never skipped on bound alone.
   return (sum / static_cast<double>(ctx.counted_tuples)) * (1.0 + 1e-12);
 }
 
@@ -576,23 +794,26 @@ template <typename Sim>
 double UpperBoundWithView(const BoundContext& ctx, size_t num_rows,
                           ColumnIndexView view, const Sim& sim,
                           RowAggregation aggregation, BoundScratch& scratch) {
-  if (ctx.counted_tuples == 0 || num_rows == 0) return 0.0;
-  size_t union_count = view.DistinctCount();
-  scratch.umax.assign(ctx.entities.size(), 0.0);
-  if (union_count > 0) {
-    scratch.sigma.resize(union_count);
-    // The table's distinct union is one contiguous arena slice: one
-    // batched σ per query entity covers every column at once.
-    const EntityId* distinct = view.distinct + view.DistinctBegin();
-    for (size_t q = 0; q < ctx.entities.size(); ++q) {
-      sim.ScoreBatch(ctx.entities[q], distinct, union_count,
-                     scratch.sigma.data());
-      scratch.umax[q] = simd::MaxF64(scratch.sigma.data(), union_count);
-    }
+  const size_t union_count = view.DistinctCount();
+  if (ctx.counted_tuples == 0 || num_rows == 0 || union_count == 0) {
+    return 0.0;
   }
-  return AssembleBoundFromUmax(ctx, num_rows, scratch.umax.data(),
-                               scratch.umax.size(), aggregation,
-                               scratch.coords);
+  const size_t num_columns = view.num_columns;
+  const size_t num_entities = ctx.entities.size();
+  scratch.sigma.resize(num_entities * union_count);
+  scratch.colmax.resize(num_entities * num_columns);
+  scratch.rows.resize(num_entities);
+  const EntityId* distinct = view.distinct + view.DistinctBegin();
+  for (size_t q = 0; q < num_entities; ++q) {
+    // One batched σ per query entity covers every column at once.
+    sim.ScoreBatch(ctx.entities[q], distinct, union_count,
+                   scratch.sigma.data() + q * union_count);
+    scratch.rows[q] = scratch.colmax.data() + q * num_columns;
+  }
+  ColumnMaxima(view, scratch.sigma.data(), num_entities,
+               scratch.colmax.data());
+  return AssembleMappingBound(ctx, num_rows, num_columns, aggregation,
+                              scratch);
 }
 
 // Adapter presenting a similarity's UpperBoundBatch as ScoreBatch, so the
@@ -1343,6 +1564,164 @@ std::vector<SearchHit> SearchEngine::Search(const Query& query,
   return hits;
 }
 
+// Output of the batch-fused bound pass (phases A and B of
+// SearchBatchFused).
+struct FusedBounds {
+  // Per query: dense per-TableId admissible bounds, +inf for tables no
+  // shard covers (late ingests: always scored, never pruned).
+  std::vector<std::vector<double>> by_table;
+  // Per query: distinct entities an earlier query of the batch owns.
+  std::vector<size_t> shared_entities;
+  size_t probed_tables = 0;
+  double seconds = 0.0;
+  const char* backend = "fp32";
+  // The batch budget expired inside the pass; the bounds are incomplete.
+  bool deadline_hit = false;
+};
+
+void SearchEngine::FusedBoundPass(std::span<const Query> queries,
+                                  SimilarityMemo* shared_memo,
+                                  FusedBounds* out) const {
+  const Corpus& corpus = lake_->corpus();
+  // Batch budget for the fused bound pass: it serves the whole batch at
+  // once, so its expiry fails every query of the batch cleanly. The
+  // per-query reranks arm their own budgets.
+  DeadlineState batch_dl;
+  batch_dl.Arm(options_.deadline_seconds);
+
+  // Phase A: per-query bound contexts, the batch's sorted distinct entity
+  // UNION, and per-query maps from context slot to union slot. The first
+  // query referencing an entity "owns" it; later queries count it as
+  // shared — the σ work the fusion saves them.
+  std::vector<BoundContext> ctxs(queries.size());
+  std::vector<EntityId> union_entities;
+  std::vector<std::vector<size_t>> slot_of(queries.size());
+  out->shared_entities.assign(queries.size(), 0);
+  out->by_table.assign(queries.size(), {});
+  out->backend = ResolveBoundBackend(options_, *sim_);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    BuildBoundContext(queries[q], *lake_, options_, &ctxs[q]);
+    union_entities.insert(union_entities.end(), ctxs[q].entities.begin(),
+                          ctxs[q].entities.end());
+  }
+  std::sort(union_entities.begin(), union_entities.end());
+  union_entities.erase(
+      std::unique(union_entities.begin(), union_entities.end()),
+      union_entities.end());
+  std::vector<uint32_t> owner(union_entities.size(),
+                              std::numeric_limits<uint32_t>::max());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    slot_of[q].resize(ctxs[q].entities.size());
+    for (size_t i = 0; i < ctxs[q].entities.size(); ++i) {
+      size_t u = static_cast<size_t>(
+          std::lower_bound(union_entities.begin(), union_entities.end(),
+                           ctxs[q].entities[i]) -
+          union_entities.begin());
+      slot_of[q][i] = u;
+      if (owner[u] == std::numeric_limits<uint32_t>::max()) {
+        owner[u] = static_cast<uint32_t>(q);
+      } else {
+        ++out->shared_entities[q];
+      }
+    }
+  }
+
+  // Phase B: the fused table-major bound pass. One walk over each
+  // shard's arena; every table's distinct-entity slice is gathered ONCE
+  // and scored against the whole union, segmented into per-(entity,
+  // column) maxima, then each query's bound is assembled from its rows of
+  // those maxima. Tables no shard covers (late ingests) keep +inf —
+  // always scored, never pruned, exactly like the per-query path.
+  obs::TraceSpan bound_span("fused_bound");
+  Stopwatch bound_watch;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    out->by_table[q].assign(corpus.size(),
+                            std::numeric_limits<double>::infinity());
+  }
+  size_t& probed_tables = out->probed_tables;
+  probed_tables = 0;
+  const size_t nu = union_entities.size();
+  const bool compressed = out->backend[0] != 'f';
+  std::vector<double> sigma;
+  std::vector<double> union_colmax;
+  BoundScratch scratch;
+  const TableTombstones* tombs =
+      options_.tombstones != nullptr && !options_.tombstones->empty()
+          ? options_.tombstones.get()
+          : nullptr;
+  for (const EngineShard& shard : shards_) {
+    if (batch_dl.Hit()) break;
+    for (TableId id = shard.begin;
+         id < shard.end && id < corpus.size(); ++id) {
+      if ((probed_tables % kDeadlineStride) == 0 && batch_dl.Expired()) {
+        break;
+      }
+      if (tombs != nullptr && tombs->Contains(id)) {
+        // Deleted: bound 0 for every query (the terminal reranks filter
+        // the id out anyway; skipping here saves the σ pass).
+        for (size_t q = 0; q < queries.size(); ++q) {
+          out->by_table[q][id] = 0.0;
+        }
+        continue;
+      }
+      const TableId local = id - shard.begin;
+      if (!shard.arena.Covers(local)) continue;
+      ColumnIndexView view = shard.arena.ViewOf(local);
+      const size_t num_rows = corpus.table(id).num_rows();
+      const size_t union_count = view.DistinctCount();
+      const size_t num_columns = view.num_columns;
+      union_colmax.assign(nu * num_columns, 0.0);
+      if (union_count > 0 && nu > 0) {
+        const EntityId* distinct = view.distinct + view.DistinctBegin();
+        sigma.resize(nu * union_count);
+        if (compressed) {
+          // Compressed bounds bypass the memo (they are bounds, not σ);
+          // one multi-query kernel pass covers the whole union.
+          sim_->UpperBoundBatchMulti(union_entities.data(), nu, distinct,
+                                     union_count, sigma.data());
+        } else if (shared_memo != nullptr) {
+          // Memoized fp32: probe through the batch memo so the pass
+          // pre-warms exactly the σ pairs every rerank of the batch
+          // reads — the cross-query reuse the fusion exists for.
+          for (size_t u = 0; u < nu; ++u) {
+            shared_memo->ScoreBatch(union_entities[u], distinct,
+                                    union_count,
+                                    sigma.data() + u * union_count);
+          }
+        } else {
+          sim_->ScoreBatchMulti(union_entities.data(), nu, distinct,
+                                union_count, sigma.data());
+        }
+        ColumnMaxima(view, sigma.data(), nu, union_colmax.data());
+      }
+      // Per-query assembly from the shared maxima: a column maximum
+      // depends only on (entity, slice), so pointing q's rows into the
+      // union's reproduces the per-query pass's doubles bit for bit.
+      for (size_t q = 0; q < queries.size(); ++q) {
+        scratch.rows.resize(slot_of[q].size());
+        for (size_t i = 0; i < slot_of[q].size(); ++i) {
+          scratch.rows[i] =
+              union_colmax.data() + slot_of[q][i] * num_columns;
+        }
+        out->by_table[q][id] = AssembleMappingBound(
+            ctxs[q], num_rows, num_columns, options_.aggregation, scratch);
+      }
+      ++probed_tables;
+    }
+  }
+  out->seconds = bound_watch.ElapsedSeconds();
+  out->deadline_hit = batch_dl.Hit();
+}
+
+std::vector<std::vector<double>> SearchEngine::UpperBoundBatch(
+    std::span<const Query> queries) const {
+  std::unique_ptr<SimilarityMemo> memo;
+  if (options_.enable_cache) memo = std::make_unique<SimilarityMemo>(sim_);
+  FusedBounds fused;
+  FusedBoundPass(queries, memo.get(), &fused);
+  return std::move(fused.by_table);
+}
+
 std::vector<std::vector<SearchHit>> SearchEngine::SearchBatchFused(
     std::span<const Query> queries, std::vector<SearchStats>* stats) const {
   std::vector<std::vector<SearchHit>> all_hits(queries.size());
@@ -1350,16 +1729,9 @@ std::vector<std::vector<SearchHit>> SearchEngine::SearchBatchFused(
   if (queries.empty()) return all_hits;
   obs::TraceSpan batch_span("fused_batch");
 
-  const Corpus& corpus = lake_->corpus();
   std::vector<TableId> storage;
   const std::vector<TableId>& candidates = AllTables(&storage);
   const bool prune = options_.enable_prune && !candidates.empty();
-
-  // Batch budget for the fused bound pass (phase B): that pass serves the
-  // whole batch at once, so its expiry fails every query of the batch
-  // cleanly. The per-query reranks of phase C arm their own budgets.
-  DeadlineState batch_dl;
-  batch_dl.Arm(options_.deadline_seconds);
 
   // One σ memo for the whole batch: the rerank of query q probes pairs the
   // bound pass (or an earlier query's rerank) already scored. Serial use
@@ -1369,151 +1741,19 @@ std::vector<std::vector<SearchHit>> SearchEngine::SearchBatchFused(
   if (options_.enable_cache) {
     shared_memo = std::make_unique<SimilarityMemo>(sim_);
   }
-
-  // Phase A: per-query bound contexts, the batch's sorted distinct entity
-  // UNION, and per-query maps from context slot to union slot. The first
-  // query referencing an entity "owns" it; later queries count it as
-  // shared — the σ work the fusion saves them.
-  std::vector<BoundContext> ctxs(queries.size());
-  std::vector<EntityId> union_entities;
-  std::vector<std::vector<size_t>> slot_of(queries.size());
-  std::vector<size_t> shared_entities(queries.size(), 0);
-  const char* bound_backend = "fp32";
-  std::vector<std::vector<double>> bounds_by_table(queries.size());
-  size_t probed_tables = 0;
-  double fused_bound_seconds = 0.0;
-
-  if (prune) {
-    bound_backend = ResolveBoundBackend(options_, *sim_);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      BuildBoundContext(queries[q], *lake_, options_, &ctxs[q]);
-      union_entities.insert(union_entities.end(), ctxs[q].entities.begin(),
-                            ctxs[q].entities.end());
-    }
-    std::sort(union_entities.begin(), union_entities.end());
-    union_entities.erase(
-        std::unique(union_entities.begin(), union_entities.end()),
-        union_entities.end());
-    std::vector<uint32_t> owner(union_entities.size(),
-                                std::numeric_limits<uint32_t>::max());
-    for (size_t q = 0; q < queries.size(); ++q) {
-      slot_of[q].resize(ctxs[q].entities.size());
-      for (size_t i = 0; i < ctxs[q].entities.size(); ++i) {
-        size_t u = static_cast<size_t>(
-            std::lower_bound(union_entities.begin(), union_entities.end(),
-                             ctxs[q].entities[i]) -
-            union_entities.begin());
-        slot_of[q][i] = u;
-        if (owner[u] == std::numeric_limits<uint32_t>::max()) {
-          owner[u] = static_cast<uint32_t>(q);
-        } else {
-          ++shared_entities[q];
-        }
-      }
-    }
-
-    // Phase B: the fused table-major bound pass. One walk over each
-    // shard's arena; every table's distinct-entity slice is gathered ONCE
-    // and scored against the whole union, then each query's bound is
-    // assembled from its subset of the per-entity maxima. Tables no shard
-    // covers (late ingests) keep +inf — always scored, never pruned,
-    // exactly like the per-query path.
-    obs::TraceSpan bound_span("fused_bound");
-    Stopwatch bound_watch;
-    for (size_t q = 0; q < queries.size(); ++q) {
-      bounds_by_table[q].assign(corpus.size(),
-                                std::numeric_limits<double>::infinity());
-    }
-    const size_t nu = union_entities.size();
-    const bool compressed = bound_backend[0] != 'f';
-    std::vector<double> sigma;
-    std::vector<double> union_umax(nu, 0.0);
-    std::vector<double> q_umax;
-    std::vector<double> coords;
-    const TableTombstones* tombs =
-        options_.tombstones != nullptr && !options_.tombstones->empty()
-            ? options_.tombstones.get()
-            : nullptr;
-    for (const EngineShard& shard : shards_) {
-      if (batch_dl.Hit()) break;
-      for (TableId id = shard.begin;
-           id < shard.end && id < corpus.size(); ++id) {
-        if ((probed_tables % kDeadlineStride) == 0 && batch_dl.Expired()) {
-          break;
-        }
-        if (tombs != nullptr && tombs->Contains(id)) {
-          // Deleted: bound 0 for every query (the terminal reranks filter
-          // the id out anyway; skipping here saves the σ pass).
-          for (size_t q = 0; q < queries.size(); ++q) {
-            bounds_by_table[q][id] = 0.0;
-          }
-          continue;
-        }
-        const TableId local = id - shard.begin;
-        if (!shard.arena.Covers(local)) continue;
-        ColumnIndexView view = shard.arena.ViewOf(local);
-        const size_t num_rows = corpus.table(id).num_rows();
-        const size_t union_count = view.DistinctCount();
-        std::fill(union_umax.begin(), union_umax.end(), 0.0);
-        if (union_count > 0 && nu > 0) {
-          const EntityId* distinct = view.distinct + view.DistinctBegin();
-          if (compressed) {
-            // Compressed bounds bypass the memo (they are bounds, not σ);
-            // one multi-query kernel pass covers the whole union.
-            sigma.resize(nu * union_count);
-            sim_->UpperBoundBatchMulti(union_entities.data(), nu, distinct,
-                                       union_count, sigma.data());
-            for (size_t u = 0; u < nu; ++u) {
-              union_umax[u] =
-                  simd::MaxF64(sigma.data() + u * union_count, union_count);
-            }
-          } else if (shared_memo != nullptr) {
-            // Memoized fp32: probe through the batch memo so the pass
-            // pre-warms exactly the σ pairs every rerank of the batch
-            // reads — the cross-query reuse the fusion exists for.
-            sigma.resize(union_count);
-            for (size_t u = 0; u < nu; ++u) {
-              shared_memo->ScoreBatch(union_entities[u], distinct,
-                                      union_count, sigma.data());
-              union_umax[u] = simd::MaxF64(sigma.data(), union_count);
-            }
-          } else {
-            sigma.resize(nu * union_count);
-            sim_->ScoreBatchMulti(union_entities.data(), nu, distinct,
-                                  union_count, sigma.data());
-            for (size_t u = 0; u < nu; ++u) {
-              union_umax[u] =
-                  simd::MaxF64(sigma.data() + u * union_count, union_count);
-            }
-          }
-        }
-        // Per-query assembly from the shared maxima: a umax depends only
-        // on (entity, slice), so gathering q's subset reproduces the
-        // per-query pass's doubles bit for bit.
-        for (size_t q = 0; q < queries.size(); ++q) {
-          q_umax.resize(ctxs[q].entities.size());
-          for (size_t i = 0; i < slot_of[q].size(); ++i) {
-            q_umax[i] = union_umax[slot_of[q][i]];
-          }
-          bounds_by_table[q][id] =
-              AssembleBoundFromUmax(ctxs[q], num_rows, q_umax.data(),
-                                    q_umax.size(), options_.aggregation,
-                                    coords);
-        }
-        ++probed_tables;
-      }
-    }
-    fused_bound_seconds = bound_watch.ElapsedSeconds();
-  }
+  FusedBounds fused;
+  fused.shared_entities.assign(queries.size(), 0);
+  if (prune) FusedBoundPass(queries, shared_memo.get(), &fused);
+  const char* bound_backend = fused.backend;
 
   size_t total_reuses = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
-    total_reuses += shared_entities[q] * probed_tables;
+    total_reuses += fused.shared_entities[q] * fused.probed_tables;
   }
-  obs::RecordFusedBatch(queries.size(), probed_tables, fused_bound_seconds,
+  obs::RecordFusedBatch(queries.size(), fused.probed_tables, fused.seconds,
                         total_reuses);
 
-  if (batch_dl.Hit()) {
+  if (fused.deadline_hit) {
     // The batch budget expired inside the fused bound pass: every query of
     // the batch fails all-or-nothing (there are no partial rankings to
     // hand out, and the bounds computed so far are discarded).
@@ -1533,10 +1773,10 @@ std::vector<std::vector<SearchHit>> SearchEngine::SearchBatchFused(
   // deltas around the query) lands in the stats the registry sees.
   for (size_t q = 0; q < queries.size(); ++q) {
     FusedQueryInput input;
-    input.bounds_by_table = prune ? &bounds_by_table[q] : nullptr;
+    input.bounds_by_table = prune ? &fused.by_table[q] : nullptr;
     input.bound_backend = bound_backend;
     input.memo = shared_memo.get();
-    input.reuses = shared_entities[q] * probed_tables;
+    input.reuses = fused.shared_entities[q] * fused.probed_tables;
     const size_t memo_hits0 =
         shared_memo != nullptr ? shared_memo->hits() : 0;
     const size_t memo_misses0 =

@@ -49,11 +49,12 @@ struct SearchOptions {
   bool enable_cache = true;
   // Bound-and-prune: before exact scoring, compute an admissible upper
   // bound per candidate (one batched σ over the table's distinct-entity
-  // union, no Hungarian mapping), score in bound-descending order, and
-  // stop once the bound falls below the running top-k threshold. Pruning
-  // is exact — the returned hits and scores are bit-identical with it on
-  // or off — so it is on by default; turn it off to measure the unpruned
-  // baseline.
+  // union, per-column maxima and a best injective entity → column
+  // assignment per tuple; see UpperBoundTable), score in bound-descending
+  // order, and stop once the bound falls below the running top-k
+  // threshold. Pruning is exact — the returned hits and scores are
+  // bit-identical with it on or off — so it is on by default; turn it off
+  // to measure the unpruned baseline.
   bool enable_prune = true;
   // Which backend computes the admissible upper bound of the prune pass.
   // kAuto (the default) is cache-aware: when the memo is enabled, fp32
@@ -111,9 +112,10 @@ struct SearchHit {
   double score;
 };
 
-// Per-query injection of the batch-fused bound pass (defined in the .cc;
-// see SearchEngine::SearchBatchFused).
+// Per-query injection of the batch-fused bound pass, and that pass's
+// output (defined in the .cc; see SearchEngine::SearchBatchFused).
 struct FusedQueryInput;
+struct FusedBounds;
 
 // Why one query entity contributed what it did to a table's score.
 struct EntityExplanation {
@@ -326,16 +328,28 @@ class SearchEngine {
   // search UIs and debugging relevance ("why is this table ranked here?").
   Explanation Explain(const Query& query, TableId table) const;
 
-  // Admissible upper bound on ScoreTable(query, table): for each query
-  // entity, max σ over the table's whole distinct-entity union bounds its
-  // aggregated coordinate under both kMax and kAvg, so the weighted
-  // distance similarity of those maxima (plus a small multiplicative
-  // slack absorbing floating-point reassociation under kAvg) bounds the
-  // exact score. Costs one batched σ pass per distinct query entity — no
+  // Admissible upper bound on ScoreTable(query, table). For each query
+  // entity and table column, max σ over the column's entities bounds the
+  // entity's aggregated coordinate if it maps there, under both kMax and
+  // kAvg (kAvg adds a small multiplicative slack for its rounded sums).
+  // Each tuple is then bounded by the injective entity → column assignment
+  // (unmapped entities allowed, at coordinate 0) with the smallest
+  // weighted distance — Algorithm 1's mapping is one of those assignments.
+  // Costs one batched σ pass per distinct query entity over the table's
+  // distinct-entity union plus a tiny per-tuple assignment search — no
   // Hungarian mapping, no per-row work. UpperBoundTable(q, t) >=
   // ScoreTable(q, t) always; the bound-and-prune search path relies on
-  // exactly this inequality.
+  // exactly this inequality (see DESIGN.md "Bound-and-prune exact top-k").
   double UpperBoundTable(const Query& query, TableId table) const;
+
+  // The batch-fused pass's bounds: result[q][t] bounds ScoreTable(
+  // queries[q], t) for every table t of the corpus, computed table-major
+  // exactly as SearchBatchFused computes them. Bit-identical to
+  // UpperBoundTable(queries[q], t) for every table known at engine build;
+  // +inf for tables ingested later, and for tables the pass had not
+  // reached when the engine's deadline expired.
+  std::vector<std::vector<double>> UpperBoundBatch(
+      std::span<const Query> queries) const;
 
  private:
   // Shared implementation of ScoreTable/Explain; `explanation` and `cache`
@@ -371,6 +385,12 @@ class SearchEngine {
                                       bool flush_stats,
                                       const FusedQueryInput* fused =
                                           nullptr) const;
+
+  // Phases A and B of SearchBatchFused: the batch's entity union, then one
+  // table-major walk of every shard's arena that bounds every query of the
+  // batch. σ probes go through `shared_memo` when it is non-null.
+  void FusedBoundPass(std::span<const Query> queries,
+                      SimilarityMemo* shared_memo, FusedBounds* out) const;
 
   // The immutable 0..corpus-1 identity list backing Search/SearchParallel
   // (no per-query O(corpus) allocation). Falls back to materializing a

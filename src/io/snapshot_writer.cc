@@ -1,11 +1,48 @@
 #include "io/snapshot_writer.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 namespace thetis {
 
+namespace {
+
+// A sibling of `path` no other writer uses: same directory (so the final
+// rename(2) stays within one file system), unique per process and per
+// writer within it.
+std::string TempPathFor(const std::string& path) {
+  static std::atomic<uint64_t> sequence{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+}
+
+// Flushes a closed file's data (or a directory's entries) to stable
+// storage.
+bool SyncPath(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+std::string DirectoryOf(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+}  // namespace
+
 SnapshotWriter::SnapshotWriter(const std::string& path)
-    : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
+    : path_(path),
+      temp_path_(TempPathFor(path)),
+      out_(temp_path_, std::ios::binary | std::ios::trunc) {
   // A zeroed header placeholder; Finish() seeks back and fills it in once
   // the section table's location and checksum are known.
   SnapshotHeader header;
@@ -144,9 +181,31 @@ Status SnapshotWriter::Finish() {
   out_.flush();
   if (!out_) return Status::IoError("write to " + path_ + " failed");
   out_.close();
+  // Publish: durable bytes first, then the atomic rename over the final
+  // path. A reader that mapped the previous file keeps its inode, so it
+  // never sees the replacement's bytes (or a truncated file) under its
+  // mapping.
+  if (!SyncPath(temp_path_, O_RDONLY)) {
+    return Status::IoError("fsync of " + temp_path_ + " failed");
+  }
+  if (std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+    return Status::IoError("rename of " + temp_path_ + " to " + path_ +
+                           " failed: " + std::strerror(errno));
+  }
+  // Best effort: persist the directory entry too. The snapshot is already
+  // complete and visible under its final name either way.
+  SyncPath(DirectoryOf(path_), O_RDONLY | O_DIRECTORY);
   bytes_written_ = offset_;
   finished_ = true;
   return Status::Ok();
+}
+
+SnapshotWriter::~SnapshotWriter() {
+  if (finished_) return;
+  // Abandoned or failed write: the final path was never touched; drop the
+  // partial temp file.
+  out_.close();
+  std::remove(temp_path_.c_str());
 }
 
 }  // namespace thetis

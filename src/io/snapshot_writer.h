@@ -22,9 +22,20 @@ namespace thetis {
 // The byte stream is a pure function of the appended (kind, bytes)
 // sequence — no timestamps, no map iteration order — which is what lets
 // the golden-file test pin the format byte for byte.
+//
+// The bytes go to a sibling temp file; Finish() fsyncs it and renames it
+// over `path`. The final path therefore only ever holds a complete
+// snapshot, and a process that has the previous file mmap'd (a server
+// booted from it, a LoadedEngine) keeps reading the old inode instead of
+// faulting on a file truncated under its mapping. A writer destroyed
+// before a successful Finish() removes its temp file and leaves `path`
+// as it was.
 class SnapshotWriter {
  public:
   explicit SnapshotWriter(const std::string& path);
+  ~SnapshotWriter();
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
   // Appends one section. Kinds must be unique per file.
   Status AppendSection(SectionKind kind, const void* data, size_t length);
@@ -55,7 +66,8 @@ class SnapshotWriter {
   }
 
   // Writes the section table, patches the header (file length, table
-  // offset, table checksum) and closes the file. No appends after this.
+  // offset, table checksum), closes and fsyncs the temp file and renames
+  // it over the final path. No appends after this.
   Status Finish();
 
   // Total bytes in the finished file (valid after Finish()).
@@ -65,6 +77,7 @@ class SnapshotWriter {
   Status PadToAlignment();
 
   std::string path_;
+  std::string temp_path_;
   std::ofstream out_;
   std::vector<SectionEntry> entries_;
   uint64_t offset_ = 0;

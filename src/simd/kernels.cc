@@ -79,14 +79,6 @@ size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
   return inter;
 }
 
-double MaxF64(const double* x, size_t n) {
-  double m = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (x[i] > m) m = x[i];
-  }
-  return m;
-}
-
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
   int32_t acc = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -174,7 +166,7 @@ const Kernels* GetScalarKernels() {
       scalar::Dot,          scalar::DotAndNorms2, scalar::DotBatch,
       scalar::DotBatchGather, scalar::Axpy,       scalar::Add,
       scalar::Scale,        scalar::IntersectSortedU32,
-      scalar::MaxF64,       scalar::DotI8,        scalar::DotBatchI8,
+      scalar::DotI8,        scalar::DotBatchI8,
       scalar::DotBatchGatherI8, scalar::BitsetIntersectBatch,
       scalar::DotBatchGatherMulti, scalar::DotBatchGatherMultiI8,
       scalar::BitsetIntersectBatchMulti,
@@ -320,8 +312,6 @@ size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
                           size_t nb) {
   return K().intersect(a, na, b, nb);
 }
-
-double MaxF64(const double* x, size_t n) { return K().max_f64(x, n); }
 
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
   return K().dot_i8(a, b, n);

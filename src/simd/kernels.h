@@ -139,14 +139,6 @@ void BitsetIntersectBatchMulti(const uint64_t* qbase, const uint32_t* qids,
 size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
                           size_t nb);
 
-// --- Double reduction kernels ----------------------------------------------
-
-// max(x[0..n)); 0.0 when n == 0. Unlike summation, max is associative and
-// commutative for non-NaN inputs, so every tier returns the bit-identical
-// result — the search engine's admissible bound pass relies on this.
-// Inputs must be non-NaN and non-negative (σ values in [0, 1]).
-double MaxF64(const double* x, size_t n);
-
 // Scalar reference implementations, bypassing dispatch. The parity suite
 // compares each tier against these.
 namespace scalar {
@@ -162,7 +154,6 @@ void Add(float* acc, const float* x, size_t n);
 void Scale(float* x, float s, size_t n);
 size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,
                           size_t nb);
-double MaxF64(const double* x, size_t n);
 int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 void DotBatchI8(const int8_t* q, const int8_t* rows, size_t dim, size_t count,
                 int32_t* out);

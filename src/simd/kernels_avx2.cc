@@ -169,25 +169,6 @@ size_t IntersectAvx2(const uint32_t* a, size_t na, const uint32_t* b,
   return inter;
 }
 
-// Max reduction over doubles; bit-identical across tiers (max is
-// order-independent for non-NaN inputs, and σ values are in [0, 1] so the
-// zero-initialized accumulator matches the scalar reference).
-double MaxF64Avx2(const double* x, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_max_pd(acc, _mm256_loadu_pd(x + i));
-  }
-  __m128d lo = _mm256_castpd256_pd128(acc);
-  __m128d hi = _mm256_extractf128_pd(acc, 1);
-  __m128d m2 = _mm_max_pd(lo, hi);
-  double m = _mm_cvtsd_f64(_mm_max_sd(m2, _mm_unpackhi_pd(m2, m2)));
-  for (; i < n; ++i) {
-    if (x[i] > m) m = x[i];
-  }
-  return m;
-}
-
 // Exact int8 dot via the maddubs/sign trick: maddubs wants an unsigned
 // left operand, so feed it |a| and transfer a's sign onto b with
 // _mm256_sign_epi8 — |a[i]| * sign(a[i])*b[i] == a[i]*b[i]. The int16
@@ -318,7 +299,7 @@ const Kernels* GetAvx2Kernels() {
   static const Kernels table = {
       DotAvx2,           DotAndNorms2Avx2, DotBatchAvx2, DotBatchGatherAvx2,
       AxpyAvx2,          AddAvx2,          ScaleAvx2,    IntersectAvx2,
-      MaxF64Avx2,        DotI8Avx2,        DotBatchI8Avx2,
+      DotI8Avx2,         DotBatchI8Avx2,
       DotBatchGatherI8Avx2, BitsetIntersectBatchAvx2,
       DotBatchGatherMultiAvx2, DotBatchGatherMultiI8Avx2,
       BitsetIntersectBatchMultiAvx2,

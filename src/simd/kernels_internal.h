@@ -20,7 +20,6 @@ struct Kernels {
   void (*add)(float*, const float*, size_t);
   void (*scale)(float*, float, size_t);
   size_t (*intersect)(const uint32_t*, size_t, const uint32_t*, size_t);
-  double (*max_f64)(const double*, size_t);
   int32_t (*dot_i8)(const int8_t*, const int8_t*, size_t);
   void (*dot_batch_i8)(const int8_t*, const int8_t*, size_t, size_t,
                        int32_t*);

@@ -153,24 +153,6 @@ size_t IntersectSse2(const uint32_t* a, size_t na, const uint32_t* b,
   return inter;
 }
 
-// Max reduction over doubles. Max is order-independent for non-NaN
-// inputs, so this is bit-identical to the scalar tier. Starting the
-// accumulator at 0.0 matches the scalar reference (inputs are σ values
-// in [0, 1], never negative).
-double MaxF64Sse2(const double* x, size_t n) {
-  __m128d acc = _mm_setzero_pd();
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    acc = _mm_max_pd(acc, _mm_loadu_pd(x + i));
-  }
-  __m128d hi = _mm_unpackhi_pd(acc, acc);
-  double m = _mm_cvtsd_f64(_mm_max_sd(acc, hi));
-  for (; i < n; ++i) {
-    if (x[i] > m) m = x[i];
-  }
-  return m;
-}
-
 // Exact int8 dot: sign-extend each 16-byte block to two int16 vectors
 // (unpack with itself + arithmetic shift right keeps the sign), then
 // _mm_madd_epi16 multiplies and pairwise-adds into int32 lanes. Pure
@@ -282,7 +264,7 @@ const Kernels* GetSse2Kernels() {
   static const Kernels table = {
       DotSse2,           DotAndNorms2Sse2, DotBatchSse2, DotBatchGatherSse2,
       AxpySse2,          AddSse2,          ScaleSse2,    IntersectSse2,
-      MaxF64Sse2,        DotI8Sse2,        DotBatchI8Sse2,
+      DotI8Sse2,         DotBatchI8Sse2,
       DotBatchGatherI8Sse2, BitsetIntersectBatchSse2,
       DotBatchGatherMultiSse2, DotBatchGatherMultiI8Sse2,
       BitsetIntersectBatchMultiSse2,

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "benchgen/benchmark_factory.h"
 #include "core/search_engine.h"
+#include "core/semrel.h"
 #include "core/similarity.h"
 #include "embedding/embedding_store.h"
 #include "obs/trace.h"
@@ -342,8 +346,17 @@ TEST(QueryExecutorTest, CacheCountersPopulatedOnlyWhenEnabled) {
   EXPECT_GT(total.sim_cache_hits, 0u);
   EXPECT_GT(total.sim_cache_misses, 0u);
   EXPECT_GT(total.mapping_cache_misses, 0u);
-  // Entities repeat across a lake's rows, so hits dominate misses.
-  EXPECT_GT(total.sim_cache_hits, total.sim_cache_misses);
+
+  // Entities repeat across a lake's rows, so when every table is reranked
+  // hits dominate misses. (With pruning on, the bound pass's first probe
+  // of each pair is a miss and few tables are reranked, so the memo's
+  // hit/miss balance there says nothing about row repetition.)
+  SearchOptions unpruned_opts;
+  unpruned_opts.enable_prune = false;
+  SearchEngine unpruned(&f.lake, &f.sim, unpruned_opts);
+  SearchStats rerank_all =
+      SumBatchStats(QueryExecutor(&unpruned, &pool).ExecuteBatch(f.queries));
+  EXPECT_GT(rerank_all.sim_cache_hits, rerank_all.sim_cache_misses);
 
   auto uncached_results =
       QueryExecutor(&uncached, &pool).ExecuteBatch(f.queries);
@@ -552,11 +565,13 @@ TEST(UpperBoundTest, BoundDominatesExactScoreEverywhere) {
 // --- Compressed bound backends ----------------------------------------------------
 
 // Same admissibility contract as above, but swept across every
-// bound-backend setting: the int8 quantized bound (code dot + analytic
-// slack) and the packed-bitset bound must dominate the exact score on
-// every pair, under both aggregations, and a zero bound must still be a
-// proof of a zero score (the slack term gamma > 0 guarantees the
-// quantized bound never produces a false zero).
+// bound-backend setting and informativeness on and off: the int8 quantized
+// bound (code dot + analytic slack) and the packed-bitset bound must
+// dominate the exact score on every pair, under both aggregations, and a
+// zero bound must still be a proof of a zero score (the slack term gamma >
+// 0 guarantees the quantized bound never produces a false zero). The
+// batch-fused pass must produce the very same bounds, bit for bit, with
+// the memo on and off and on a sharded engine.
 TEST(UpperBoundTest, CompressedBoundsDominateExactScoreEverywhere) {
   Benchmark bench = MakeBenchmark(PresetKind::kWt2015Like, 0.03, 93);
   SemanticDataLake lake(&bench.lake.corpus, &bench.kg.kg);
@@ -565,7 +580,11 @@ TEST(UpperBoundTest, CompressedBoundsDominateExactScoreEverywhere) {
   EmbeddingCosineSimilarity emb_sim(&store);
   const EntitySimilarity* sims[] = {&type_sim, &emb_sim};
 
-  auto queries = benchgen::MakeQueries(bench.kg, 3, 94);
+  std::vector<Query> queries;
+  for (const auto& gq : benchgen::MakeQueries(bench.kg, 3, 94)) {
+    queries.push_back(gq.query);
+  }
+  const size_t num_tables = bench.lake.corpus.size();
   for (const EntitySimilarity* sim : sims) {
     for (RowAggregation agg : {RowAggregation::kMax, RowAggregation::kAvg}) {
       for (SearchOptions::BoundBackend backend :
@@ -573,24 +592,340 @@ TEST(UpperBoundTest, CompressedBoundsDominateExactScoreEverywhere) {
             SearchOptions::BoundBackend::kAuto,
             SearchOptions::BoundBackend::kInt8,
             SearchOptions::BoundBackend::kBitset}) {
-        SearchOptions options;
-        options.aggregation = agg;
-        options.bound_backend = backend;
-        SearchEngine engine(&lake, sim, options);
-        for (const auto& gq : queries) {
-          for (TableId t = 0; t < bench.lake.corpus.size(); ++t) {
-            double bound = engine.UpperBoundTable(gq.query, t);
-            double exact = engine.ScoreTable(gq.query, t);
-            EXPECT_GE(bound, exact)
-                << sim->name() << " table " << t << " backend "
-                << static_cast<int>(backend) << " agg "
-                << (agg == RowAggregation::kMax ? "max" : "avg");
-            if (bound == 0.0) EXPECT_EQ(exact, 0.0);
+        for (bool informativeness : {false, true}) {
+          SearchOptions options;
+          options.aggregation = agg;
+          options.bound_backend = backend;
+          options.use_informativeness = informativeness;
+          const std::string label =
+              sim->name() + " backend " +
+              std::to_string(static_cast<int>(backend)) +
+              (agg == RowAggregation::kMax ? " max" : " avg") +
+              (informativeness ? " weighted" : " unweighted");
+          SearchEngine engine(&lake, sim, options);
+          for (const Query& query : queries) {
+            for (TableId t = 0; t < num_tables; ++t) {
+              double bound = engine.UpperBoundTable(query, t);
+              double exact = engine.ScoreTable(query, t);
+              EXPECT_GE(bound, exact) << label << " table " << t;
+              if (bound == 0.0) {
+                EXPECT_EQ(exact, 0.0) << label << " table " << t;
+              }
+            }
+          }
+          // (kAuto resolves differently with the memo off, so each
+          // variant is compared with its own per-query bound.)
+          SearchOptions nocache = options;
+          nocache.enable_cache = false;
+          SearchOptions sharded = options;
+          sharded.num_shards = 4;
+          for (const SearchOptions& variant : {options, nocache, sharded}) {
+            SearchEngine variant_engine(&lake, sim, variant);
+            auto fused = variant_engine.UpperBoundBatch(queries);
+            ASSERT_EQ(fused.size(), queries.size()) << label;
+            for (size_t q = 0; q < queries.size(); ++q) {
+              ASSERT_EQ(fused[q].size(), num_tables) << label;
+              for (TableId t = 0; t < num_tables; ++t) {
+                EXPECT_EQ(fused[q][t],
+                          variant_engine.UpperBoundTable(queries[q], t))
+                    << label << " fused, table " << t;
+              }
+            }
           }
         }
       }
     }
   }
+}
+
+// σ from an explicit symmetric pair table: 1 on the diagonal, 0 for
+// unlisted pairs. Lets a micro-lake put its similarity mass exactly where
+// an adversarial bound case needs it.
+class PairSimilarity : public EntitySimilarity {
+ public:
+  void Set(EntityId a, EntityId b, double s) {
+    pairs_[Key(a, b)] = s;
+    pairs_[Key(b, a)] = s;
+  }
+  double Score(EntityId a, EntityId b) const override {
+    if (a == b) return 1.0;
+    auto it = pairs_.find(Key(a, b));
+    return it == pairs_.end() ? 0.0 : it->second;
+  }
+  std::string name() const override { return "pairs"; }
+
+ private:
+  static uint64_t Key(EntityId a, EntityId b) {
+    return (static_cast<uint64_t>(a) << 32) | b;
+  }
+  std::unordered_map<uint64_t, double> pairs_;
+};
+
+// A hand-built lake of tiny tables over a handful of entities, each table
+// given as rows of cell links (kNoEntity for an unlinked cell).
+struct MicroLake {
+  KnowledgeGraph kg;
+  Corpus corpus;
+  PairSimilarity sim;
+  std::vector<EntityId> entities;
+
+  explicit MicroLake(size_t num_entities) {
+    for (size_t i = 0; i < num_entities; ++i) {
+      entities.push_back(kg.AddEntity("e" + std::to_string(i)).value());
+    }
+  }
+
+  TableId AddTable(const std::vector<std::vector<EntityId>>& rows) {
+    std::vector<std::string> names;
+    for (size_t c = 0; c < rows.front().size(); ++c) {
+      names.push_back("c" + std::to_string(c));
+    }
+    Table table("t" + std::to_string(corpus.size()), names);
+    for (const auto& links : rows) {
+      std::vector<Value> values;
+      for (EntityId e : links) {
+        values.push_back(Value::String(
+            e == kNoEntity ? "-" : "e" + std::to_string(e)));
+      }
+      EXPECT_TRUE(table.AppendRow(std::move(values), links).ok());
+    }
+    const TableId id = static_cast<TableId>(corpus.size());
+    EXPECT_TRUE(corpus.AddTable(std::move(table)).ok());
+    return id;
+  }
+};
+
+// The assignment-free bound the engine used before the mapping-aware one:
+// each entity at its maximum σ over the whole table, kMax, unit weights.
+double PerEntityMaxBound(const Query& query, const Table& table,
+                         const EntitySimilarity& sim) {
+  double sum = 0.0;
+  size_t counted = 0;
+  for (const auto& tq : query.tuples) {
+    if (tq.empty()) continue;
+    ++counted;
+    std::vector<double> coords(tq.size(), 0.0);
+    for (size_t i = 0; i < tq.size(); ++i) {
+      if (tq[i] == kNoEntity) continue;
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        for (size_t c = 0; c < table.num_columns(); ++c) {
+          if (table.link(r, c) == kNoEntity) continue;
+          coords[i] = std::max(coords[i], sim.Score(tq[i], table.link(r, c)));
+        }
+      }
+    }
+    sum += DistanceSimilarity(coords, std::vector<double>(tq.size(), 1.0));
+  }
+  return sum / static_cast<double>(counted) * (1.0 + 1e-12);
+}
+
+// Where the per-column maxima and the injectivity of the mapping matter: a
+// table whose σ mass sits in one column. Both query entities peak in
+// column 0, but only one of them may map there, so the bound must fall
+// strictly below the per-entity maxima and — under kMax, with the exact
+// mapping the optimal assignment — land on the exact score plus the final
+// 1e-12 slack, bit for bit.
+TEST(UpperBoundTest, MappingBoundTightWhenSigmaMassSitsInOneColumn) {
+  MicroLake micro(4);
+  const EntityId a = micro.entities[0], b = micro.entities[1];
+  const EntityId x = micro.entities[2], y = micro.entities[3];
+  micro.sim.Set(a, x, 0.875);
+  micro.sim.Set(b, x, 0.75);
+  micro.sim.Set(a, y, 0.125);
+  micro.sim.Set(b, y, 0.125);
+  const TableId mass = micro.AddTable({{x, y}, {x, y}});
+  const TableId one_column = micro.AddTable({{x}});
+  SemanticDataLake lake(&micro.corpus, &micro.kg);
+  SearchOptions options;
+  options.use_informativeness = false;
+  SearchEngine engine(&lake, &micro.sim, options);
+
+  struct Case {
+    Query query;
+    TableId table;
+  };
+  const Case cases[] = {
+      {Query{{{a, b}}}, mass},
+      // One entity twice: only one copy may take column 0.
+      {Query{{{a, a}}}, one_column},
+      // Wider than the table: two of the three positions stay unmapped.
+      {Query{{{a, b, a}}}, one_column},
+      // kNoEntity positions cost their weight whatever the table holds.
+      {Query{{{a, kNoEntity, b}}}, mass},
+  };
+  for (const Case& c : cases) {
+    const double bound = engine.UpperBoundTable(c.query, c.table);
+    const double exact = engine.ScoreTable(c.query, c.table);
+    const double loose = PerEntityMaxBound(
+        c.query, micro.corpus.table(c.table), micro.sim);
+    EXPECT_GT(exact, 0.0);
+    EXPECT_LT(bound, loose) << "table " << c.table;
+    EXPECT_EQ(bound, exact * (1.0 + 1e-12)) << "table " << c.table;
+  }
+}
+
+// Randomized adversarial micro-lakes: coarse σ levels (so maxima tie across
+// columns), one-row and one-column tables, unlinked cells and columns, a
+// very wide table, tuples repeating entities, tuples wider than the table,
+// kNoEntity positions, and tuples wide enough to exhaust the assignment
+// search's node budget or to skip the search altogether. The bound must dominate the exact score under
+// every aggregation and weighting, a zero bound must mean a zero score, the
+// fused pass must match bit for bit, and pruned rankings must match
+// unpruned ones.
+TEST(UpperBoundTest, MicroTableAdversarialSweep) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng(seed);
+    auto uniform = [&](size_t n) {
+      return static_cast<size_t>(rng() % n);
+    };
+    MicroLake micro(10);
+    const std::vector<EntityId>& ents = micro.entities;
+    for (size_t i = 0; i < ents.size(); ++i) {
+      for (size_t j = i + 1; j < ents.size(); ++j) {
+        const size_t level = uniform(8);  // 0 leaves the pair at σ = 0
+        if (level > 0) {
+          micro.sim.Set(ents[i], ents[j], static_cast<double>(level) / 8.0);
+        }
+      }
+    }
+    auto random_cell = [&] {
+      return uniform(5) == 0 ? kNoEntity : ents[uniform(ents.size())];
+    };
+    for (size_t t = 0; t < 40; ++t) {
+      const size_t rows = t % 5 == 0 ? 1 : 1 + uniform(5);
+      const size_t cols = t % 7 == 0 ? 1 : 1 + uniform(6);
+      std::vector<std::vector<EntityId>> cells(
+          rows, std::vector<EntityId>(cols));
+      for (auto& row : cells) {
+        for (EntityId& cell : row) cell = random_cell();
+      }
+      if (t % 9 == 0) {
+        for (auto& row : cells) row[0] = kNoEntity;  // an unlinked column
+      }
+      micro.AddTable(cells);
+    }
+    {
+      std::vector<std::vector<EntityId>> wide(2, std::vector<EntityId>(70));
+      for (auto& row : wide) {
+        for (EntityId& cell : row) cell = random_cell();
+      }
+      micro.AddTable(wide);
+    }
+    std::vector<Query> queries;
+    for (size_t q = 0; q < 24; ++q) {
+      Query query;
+      const size_t tuples = 1 + uniform(3);
+      for (size_t k = 0; k < tuples; ++k) {
+        // Now and then wider than the assignment search's width cap, or
+        // wide enough to exhaust its node budget.
+        const size_t width =
+            q % 8 == 7 ? 20 : (q % 8 == 6 ? 9 : 1 + uniform(5));
+        std::vector<EntityId> tuple;
+        for (size_t i = 0; i < width; ++i) {
+          tuple.push_back(uniform(10) == 0 ? kNoEntity
+                                           : ents[uniform(ents.size())]);
+        }
+        query.tuples.push_back(tuple);
+      }
+      queries.push_back(query);
+    }
+    queries.push_back(Query{{{ents[0], ents[0], ents[0]}}});
+
+    SemanticDataLake lake(&micro.corpus, &micro.kg);
+    for (RowAggregation agg : {RowAggregation::kMax, RowAggregation::kAvg}) {
+      for (bool informativeness : {false, true}) {
+        SearchOptions options;
+        options.aggregation = agg;
+        options.use_informativeness = informativeness;
+        options.top_k = 5;
+        SearchEngine engine(&lake, &micro.sim, options);
+        SearchOptions unpruned_opts = options;
+        unpruned_opts.enable_prune = false;
+        SearchEngine unpruned(&lake, &micro.sim, unpruned_opts);
+        const std::string label =
+            "seed " + std::to_string(seed) +
+            (agg == RowAggregation::kMax ? " max" : " avg") +
+            (informativeness ? " weighted" : " unweighted");
+        auto fused = engine.UpperBoundBatch(queries);
+        for (size_t q = 0; q < queries.size(); ++q) {
+          for (TableId t = 0; t < micro.corpus.size(); ++t) {
+            const double bound = engine.UpperBoundTable(queries[q], t);
+            const double exact = engine.ScoreTable(queries[q], t);
+            EXPECT_GE(bound, exact) << label << " query " << q << " table "
+                                    << t;
+            if (bound == 0.0) {
+              EXPECT_EQ(exact, 0.0) << label << " query " << q << " table "
+                                    << t;
+            }
+            EXPECT_EQ(fused[q][t], bound) << label << " query " << q
+                                          << " table " << t;
+          }
+          ExpectSameHits(unpruned.Search(queries[q]),
+                         engine.Search(queries[q]),
+                         label + " pruned query " + std::to_string(q));
+        }
+      }
+    }
+  }
+}
+
+// --- Stats invariants ---------------------------------------------------------------
+
+// Every candidate is either scored exactly or pruned, and a floor hit is a
+// kind of prune, in every execution mode: serial, striped pools, shards,
+// fused batches and the LSEI prefilter.
+TEST(SearchStatsInvariantTest, ScoredPlusPrunedIsCandidatesInEveryMode) {
+  Benchmark bench = MakeBenchmark(PresetKind::kWt2015Like, 0.05, 406);
+  SemanticDataLake lake(&bench.lake.corpus, &bench.kg.kg);
+  TypeJaccardSimilarity sim(&bench.kg.kg);
+  std::vector<Query> queries;
+  for (const auto& gq : benchgen::MakeQueries(bench.kg, 8, 407)) {
+    queries.push_back(gq.query);
+  }
+  auto expect_invariants = [](const SearchStats& stats,
+                              const std::string& label) {
+    EXPECT_EQ(stats.tables_scored + stats.tables_pruned,
+              stats.candidate_count)
+        << label;
+    EXPECT_LE(stats.floor_hits, stats.tables_pruned) << label;
+  };
+
+  ThreadPool pool1(1);
+  ThreadPool pool8(8);
+  size_t total_pruned = 0;
+  for (size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
+    SearchOptions options;
+    options.num_shards = shards;
+    SearchEngine engine(&lake, &sim, options);
+    const std::string mode = "shards" + std::to_string(shards);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string label = mode + " query " + std::to_string(q);
+      SearchStats stats;
+      engine.Search(queries[q], &stats);
+      expect_invariants(stats, label + " serial");
+      total_pruned += stats.tables_pruned;
+      for (ThreadPool* pool : {&pool1, &pool8}) {
+        engine.SearchParallel(queries[q], pool, &stats);
+        expect_invariants(stats, label + " pool" +
+                                     std::to_string(pool->num_threads()));
+      }
+    }
+    QueryExecutor executor(&engine, &pool8);
+    executor.set_batch_size(8);
+    for (const QueryResult& result : executor.ExecuteBatch(queries)) {
+      expect_invariants(result.stats, mode + " fused batch 8");
+    }
+    LseiOptions lsh;
+    Lsei lsei(&lake, nullptr, lsh);
+    PrefilteredSearchEngine prefiltered(&engine, &lsei, /*votes=*/1);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SearchStats stats;
+      prefiltered.Search(queries[q], &stats);
+      expect_invariants(stats, mode + " prefiltered query " +
+                                   std::to_string(q));
+    }
+  }
+  EXPECT_GT(total_pruned, 0u);
 }
 
 // Ranking parity of the compressed bound backends: every backend setting —

@@ -22,8 +22,11 @@
 //    also bump kSnapshotVersion.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -51,6 +54,22 @@ namespace {
 
 using benchgen::Benchmark;
 using benchgen::GeneratedQuery;
+
+// A snapshot path private to this test process, removed when it exits.
+// ctest runs every test in its own process, several at once: a fixed name
+// would let one process rewrite a file another has mapped.
+std::string TempPath(const std::string& name) {
+  struct Registry {
+    std::vector<std::string> paths;
+    ~Registry() {
+      for (const std::string& path : paths) std::remove(path.c_str());
+    }
+  };
+  static Registry registry;
+  registry.paths.push_back(testing::TempDir() + "/snapshot_test_" +
+                           std::to_string(::getpid()) + "_" + name);
+  return registry.paths.back();
+}
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -164,7 +183,7 @@ class SnapshotTest : public ::testing::Test {
     lsei_ = new Lsei(lake_, nullptr, lsh);
     queries_ = new std::vector<GeneratedQuery>(
         benchgen::MakeQueries(bench_->kg, 6));
-    path_ = new std::string(testing::TempDir() + "/engine_parity.snap");
+    path_ = new std::string(TempPath("engine_parity.snap"));
     EngineSnapshotParts parts;
     parts.lake = lake_;
     parts.engine = engine_;
@@ -184,7 +203,7 @@ class SnapshotTest : public ::testing::Test {
 
   // Writes `bytes` to a scratch file and attempts a full engine load.
   static Status TryLoad(const std::string& bytes) {
-    const std::string scratch = testing::TempDir() + "/tampered.snap";
+    const std::string scratch = TempPath("tampered.snap");
     WriteAll(scratch, bytes);
     auto loaded = LoadedEngine::Load(scratch, lake_);
     return loaded.ok() ? Status::Ok() : loaded.status();
@@ -296,7 +315,7 @@ TEST_F(SnapshotTest, RoundTripLseiParity) {
 }
 
 TEST_F(SnapshotTest, SaveIsDeterministic) {
-  const std::string again = testing::TempDir() + "/engine_again.snap";
+  const std::string again = TempPath("engine_again.snap");
   EngineSnapshotParts parts;
   parts.lake = lake_;
   parts.engine = engine_;
@@ -304,6 +323,44 @@ TEST_F(SnapshotTest, SaveIsDeterministic) {
   ASSERT_TRUE(SaveEngineSnapshot(again, parts).ok());
   EXPECT_EQ(ReadAll(*path_), ReadAll(again))
       << "snapshot bytes must be a pure function of the engine state";
+}
+
+// Re-saving over a path that a live engine has mapped must not disturb
+// that engine: the writer publishes by rename, so the held mapping keeps
+// the old file. The replacement here drops the LSEI, so it is shorter than
+// the file under the mapping — rewritten in place, the held LSEI sections
+// would lie past the new end of file and fault on access.
+TEST_F(SnapshotTest, ResaveOverMappedSnapshotLeavesHeldEngineIntact) {
+  const std::string path = TempPath("resaved.snap");
+  EngineSnapshotParts parts;
+  parts.lake = lake_;
+  parts.engine = engine_;
+  parts.lsei = lsei_;
+  ASSERT_TRUE(SaveEngineSnapshot(path, parts).ok());
+  auto held = LoadedEngine::Load(path, lake_);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_NE(held.value()->lsei(), nullptr);
+  std::vector<std::vector<SearchHit>> before;
+  for (const GeneratedQuery& q : *queries_) {
+    before.push_back(held.value()->engine().Search(q.query));
+  }
+
+  EngineSnapshotParts without_lsei = parts;
+  without_lsei.lsei = nullptr;
+  ASSERT_TRUE(SaveEngineSnapshot(path, without_lsei).ok());
+
+  for (size_t i = 0; i < queries_->size(); ++i) {
+    const Query& query = (*queries_)[i].query;
+    ExpectHitsEqual(before[i], held.value()->engine().Search(query));
+    EXPECT_EQ(lsei_->CandidateTablesForQuery(query.tuples, 2),
+              held.value()->lsei()->CandidateTablesForQuery(query.tuples, 2));
+  }
+  // The path now holds the complete replacement.
+  auto fresh = LoadedEngine::Load(path, lake_);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh.value()->lsei(), nullptr);
+  ExpectHitsEqual(before.front(),
+                  fresh.value()->engine().Search(queries_->front().query));
 }
 
 TEST_F(SnapshotTest, LoadWithoutChecksumVerificationStillMatches) {
@@ -514,7 +571,7 @@ TEST_F(SnapshotTest, BadMagicVersionAndEndiannessAreDescriptiveErrors) {
 TEST_F(SnapshotTest, ReaderToleratesUnknownSectionKinds) {
   // Forward compatibility: a newer writer may append kinds this build does
   // not know. They are bounds-checked and skipped, not fatal.
-  const std::string path = testing::TempDir() + "/unknown_kind.snap";
+  const std::string path = TempPath("unknown_kind.snap");
   SnapshotWriter writer(path);
   const uint32_t payload[4] = {1, 2, 3, 4};
   ASSERT_TRUE(writer
@@ -624,7 +681,7 @@ std::string BuildMicroSnapshot(const MicroLake& micro,
 TEST(GoldenSnapshotTest, WriterMatchesCheckedInFixtureByteForByte) {
   MicroLake micro;
   SemanticDataLake lake(&micro.corpus, &micro.kg);
-  const std::string scratch = testing::TempDir() + "/golden_candidate.snap";
+  const std::string scratch = TempPath("golden_candidate.snap");
   const std::string bytes =
       BuildMicroSnapshot(micro, lake, scratch, /*num_shards=*/2);
   if (std::getenv("THETIS_REGEN_GOLDEN") != nullptr) {
@@ -738,8 +795,8 @@ TEST(GoldenSnapshotTest, LegacyVersion2FixtureStillLoads) {
 TEST(GoldenSnapshotTest, ShardedSaveRebasesArenaSectionsToUnshardedBytes) {
   MicroLake micro;
   SemanticDataLake lake(&micro.corpus, &micro.kg);
-  const std::string flat_path = testing::TempDir() + "/shard_flat.snap";
-  const std::string sharded_path = testing::TempDir() + "/shard_two.snap";
+  const std::string flat_path = TempPath("shard_flat.snap");
+  const std::string sharded_path = TempPath("shard_two.snap");
   const std::string flat = BuildMicroSnapshot(micro, lake, flat_path, 1);
   const std::string sharded = BuildMicroSnapshot(micro, lake, sharded_path, 2);
   for (SectionKind kind :
@@ -766,7 +823,7 @@ TEST_F(SnapshotTest, ShardedRoundTripKeepsLayoutAndRankings) {
   SearchOptions options;
   options.num_shards = 3;
   SearchEngine sharded(lake_, types_, options);
-  const std::string path = testing::TempDir() + "/sharded_parity.snap";
+  const std::string path = TempPath("sharded_parity.snap");
   EngineSnapshotParts parts;
   parts.lake = lake_;
   parts.engine = &sharded;
@@ -798,13 +855,13 @@ TEST_F(SnapshotTest, ShardedRoundTripKeepsLayoutAndRankings) {
 TEST(GoldenSnapshotTest, MalformedShardSectionsAreRejected) {
   MicroLake micro;
   SemanticDataLake lake(&micro.corpus, &micro.kg);
-  const std::string scratch = testing::TempDir() + "/shard_tamper.snap";
+  const std::string scratch = TempPath("shard_tamper.snap");
   const std::string clean = BuildMicroSnapshot(micro, lake, scratch, 2);
   ASSERT_LT(FindSection(clean, SectionKind::kShardTableBounds),
             HeaderOf(clean).section_count);
 
   const auto try_load = [&](const std::string& bytes) {
-    const std::string path = testing::TempDir() + "/shard_tampered.snap";
+    const std::string path = TempPath("shard_tampered.snap");
     WriteAll(path, bytes);
     auto loaded = LoadedEngine::Load(path, &lake);
     return loaded.ok() ? Status::Ok() : loaded.status();
@@ -904,14 +961,14 @@ TEST(GoldenSnapshotTest, MalformedTypeBitsetSectionsAreRejected) {
   // count must come back as clean errors, not out-of-bounds views.
   MicroLake micro;
   SemanticDataLake lake(&micro.corpus, &micro.kg);
-  const std::string scratch = testing::TempDir() + "/bitset_tamper.snap";
+  const std::string scratch = TempPath("bitset_tamper.snap");
   const std::string clean = BuildMicroSnapshot(micro, lake, scratch);
   ASSERT_LT(FindSection(clean, SectionKind::kTypeBitsetBits),
             HeaderOf(clean).section_count)
       << "micro snapshot should carry bitset sections (4-type vocabulary)";
 
   const auto try_load = [&](const std::string& bytes) {
-    const std::string path = testing::TempDir() + "/bitset_tampered.snap";
+    const std::string path = TempPath("bitset_tampered.snap");
     WriteAll(path, bytes);
     auto loaded = LoadedEngine::Load(path, &lake);
     return loaded.ok() ? Status::Ok() : loaded.status();
@@ -976,7 +1033,7 @@ class QuantSnapshotTest : public ::testing::Test {
     store_ = std::make_unique<EmbeddingStore>(MicroEmbeddings());
     sim_ = std::make_unique<EmbeddingCosineSimilarity>(store_.get());
     engine_ = std::make_unique<SearchEngine>(lake_.get(), sim_.get());
-    path_ = testing::TempDir() + "/quant.snap";
+    path_ = TempPath("quant.snap");
     EngineSnapshotParts parts;
     parts.lake = lake_.get();
     parts.engine = engine_.get();
@@ -989,7 +1046,7 @@ class QuantSnapshotTest : public ::testing::Test {
   }
 
   Status TryLoadBytes(const std::string& bytes) {
-    const std::string scratch = testing::TempDir() + "/quant_tampered.snap";
+    const std::string scratch = TempPath("quant_tampered.snap");
     WriteAll(scratch, bytes);
     auto loaded = LoadedEngine::Load(scratch, lake_.get());
     return loaded.ok() ? Status::Ok() : loaded.status();
