@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <tuple>
 #include <unordered_set>
 
@@ -25,6 +26,14 @@ struct LseiSweepParam {
   size_t num_functions;
   size_t band_size;
 };
+
+// Prints a case as e.g. "types_32_8". gtest's default printer dumps the
+// struct's raw bytes, padding included, and ctest names each case after
+// the printed value, so without this the test names change between runs.
+void PrintTo(const LseiSweepParam& p, std::ostream* os) {
+  *os << (p.mode == LseiMode::kTypes ? "types" : "embeddings") << "_"
+      << p.num_functions << "_" << p.band_size;
+}
 
 class LseiConfigSweep : public ::testing::TestWithParam<LseiSweepParam> {
  protected:
