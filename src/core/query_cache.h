@@ -99,8 +99,8 @@ TableSignatureIndex BuildTableSignatureIndexRange(
 // content (hashes only bucket), and the identity fingerprint pins every
 // position where a query entity appears verbatim in the table, so cached
 // scoring is bit-identical to uncached scoring. Like SimilarityMemo, an
-// instance serves one worker thread for the lifetime of one query; the
-// engine creates one per stripe.
+// instance serves one thread for the lifetime of one query; the engine
+// creates one per partition of the query's candidates.
 class QueryScopedCache {
  public:
   // `base` and `signature_index` are borrowed and must outlive the cache.

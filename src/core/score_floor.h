@@ -6,10 +6,10 @@
 
 namespace thetis {
 
-// The globally shared score floor of the scatter-gather search paths: a
-// monotonically non-decreasing lower bound on the final top-k threshold,
-// published with relaxed CAS-max semantics and read lock-free by every
-// shard/stripe.
+// The score floor shared by the partitions of one query (its shards or
+// pool slices): a monotonically non-decreasing lower bound on the final
+// top-k threshold, published with relaxed CAS-max semantics and read
+// lock-free by every partition.
 //
 // Exactness contract (the floor-sharing proof in DESIGN.md): every value v
 // ever stored here is the MinScore() of some full k-item heap over exactly

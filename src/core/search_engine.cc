@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 
 #include "core/column_mapping.h"
 #include "core/shard_plan.h"
@@ -345,38 +346,11 @@ double SearchEngine::ScoreTableImpl(const Query& query, TableId table_id,
 
 namespace {
 
-// Fills the prefilter-independent stats fields shared by the serial and
-// parallel candidate loops.
-void FillCandidateStats(const SemanticDataLake& lake, size_t num_candidates,
-                        size_t pruned, size_t nonzero, double total_seconds,
-                        double mapping_seconds, double bound_seconds,
-                        SearchStats* stats) {
-  stats->tables_scored = num_candidates - pruned;
-  stats->tables_nonzero = nonzero;
-  stats->tables_pruned = pruned;
-  stats->total_seconds = total_seconds;
-  stats->mapping_seconds = mapping_seconds;
-  stats->bound_seconds = bound_seconds;
-  stats->candidate_count = num_candidates;
-  size_t corpus_size = lake.corpus().size();
-  stats->search_space_reduction =
-      corpus_size == 0 ? 0.0
-                       : 1.0 - static_cast<double>(num_candidates) /
-                                   static_cast<double>(corpus_size);
-}
-
-void AddCacheStats(const QueryScopedCache& cache, SearchStats* stats) {
-  stats->sim_cache_hits += cache.sim_hits();
-  stats->sim_cache_misses += cache.sim_misses();
-  stats->mapping_cache_hits += cache.mapping_hits();
-  stats->mapping_cache_misses += cache.mapping_misses();
-}
-
 // The single point where per-query counters enter the global metrics
 // registry: the SearchStats a caller receives and the registry increments
 // come from the same struct, so the two views cannot diverge. Called once
-// per query, by the terminal scoring loops only (the Search /
-// PrefilteredSearchEngine / QueryExecutor wrappers all funnel here).
+// per query: by the search driver, or by the PrefilteredSearchEngine and
+// SearchBatchFused wrappers when they correct its stats first.
 void FlushQueryStats(const SearchStats& stats) {
   obs::RecordQuery(stats.tables_scored, stats.tables_nonzero,
                    stats.candidate_count, stats.total_seconds,
@@ -392,15 +366,15 @@ void FlushQueryStats(const SearchStats& stats) {
 }
 
 // Deadline budget of one query (or one fused batch), shared by every
-// worker/stripe working on it. The first check that observes the clock
-// past the deadline latches `expired`; subsequent checks fail fast on the
-// flag without touching the clock, so an expiry seen by one stripe stops
+// partition working on it. The first check that observes the clock past
+// the deadline latches `expired`; subsequent checks fail fast on the flag
+// without touching the clock, so an expiry seen by one partition stops
 // the others at their next check. With no budget armed, Expired() is a
 // single predictable branch — the pre-deadline engine, unchanged.
 //
-// Expiry is always all-or-nothing for the caller: the terminal loops
-// abandon their heaps and return NO hits, never a partial ranking (see
-// SearchOptions::deadline_seconds).
+// Expiry is always all-or-nothing for the caller: the search driver
+// abandons the partitions' heaps and returns NO hits, never a partial
+// ranking (see SearchOptions::deadline_seconds).
 struct DeadlineState {
   std::chrono::steady_clock::time_point deadline{};
   std::atomic<bool> expired{false};
@@ -853,41 +827,6 @@ const char* ResolveBoundBackend(const SearchOptions& options,
   return "fp32";
 }
 
-// Hot-path bound: shard-arena view when covered; tables ingested after
-// engine construction get +inf (always scored, never pruned — exactness
-// over speed for the dynamic-corpus edge case).
-template <typename Sim>
-double BoundForTable(const BoundContext& ctx, const SearchEngine& engine,
-                     const Corpus& corpus, TableId id, const Sim& sim,
-                     RowAggregation aggregation, BoundScratch& scratch) {
-  // Tombstoned tables bound to 0: the candidate filter already removed
-  // them from the search paths, but the bound itself must agree for
-  // callers probing tables directly (UpperBoundTable).
-  const TableTombstones* tombs = engine.options().tombstones.get();
-  if (tombs != nullptr && tombs->Contains(id)) return 0.0;
-  ColumnIndexView view;
-  if (!engine.ArenaViewOf(id, &view)) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return UpperBoundWithView(ctx, corpus.table(id).num_rows(), view, sim,
-                            aggregation, scratch);
-}
-
-// Candidate evaluation order of the prune loop: bound descending, table id
-// ascending on ties. With the id-ascending tie rule, once one candidate is
-// prunable against the current threshold every later one is too, so the
-// loop may stop instead of skipping one-by-one.
-void SortByBound(const std::vector<TableId>& candidates,
-                 const std::vector<double>& bounds,
-                 std::vector<uint32_t>* order) {
-  order->resize(candidates.size());
-  std::iota(order->begin(), order->end(), 0u);
-  std::sort(order->begin(), order->end(), [&](uint32_t a, uint32_t b) {
-    if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
-    return candidates[a] < candidates[b];
-  });
-}
-
 // Whether a candidate with this upper bound provably cannot enter `top`
 // (score-descending, id-ascending total order). On a bound exactly equal
 // to the threshold the id decides: TopK only admits an equal score when
@@ -901,22 +840,44 @@ bool ProvablyOutside(const Top& top, double bound, TableId id) {
 
 }  // namespace
 
-// What SearchBatchFused hands each query of the batch: everything the
-// serial rerank would otherwise compute in its own bound pass, already
-// computed table-major across the whole batch. The rerank keeps its sort,
-// prune loop, floors, and stats; only the bound SOURCE changes.
-struct FusedQueryInput {
-  // Dense per-TableId admissible bounds (+inf for tables the fused pass
-  // did not cover, i.e. late ingests — always scored, never pruned, same
-  // as the per-query path). Non-null whenever pruning is enabled.
-  const std::vector<double>* bounds_by_table = nullptr;
-  // Backend that computed the fused bounds, reported per query.
-  const char* bound_backend = "fp32";
-  // Batch-scoped σ memo shared by every query of the batch (null when
-  // caching is disabled). Unsynchronized — the batch runs serially.
-  SimilarityMemo* memo = nullptr;
-  // SearchStats::bound_fused_reuses to report for this query.
-  size_t reuses = 0;
+// Per-query state every partition of the prune kernel reads.
+struct PruneQuery {
+  bool prune = false;
+  // Query-side bound constants (unused when the bounds are fused).
+  BoundContext ctx;
+  bool compressed = false;
+  // The batch-fused pass's dense per-TableId bounds, or null when the
+  // partitions compute their own. The prune kernel keeps its sort, walk,
+  // floors and stats either way; only the bound source changes.
+  const std::vector<double>* fused_bounds = nullptr;
+  DeadlineState dl;
+};
+
+// One partition of a query's candidates and everything the kernel keeps
+// for it. The candidates are a strided view, ids[i * stride] for i <
+// count: the whole tombstone-filtered list or one of W round-robin slices
+// of it (both without a copy), or one shard's bucket.
+struct PartitionLocal {
+  const TableId* ids;
+  size_t count;
+  size_t stride;
+  TopK<TableId> top;
+  // Partition-private query cache (null when caching is disabled or the
+  // partition is empty). Its mapping half is keyed by one shard's
+  // signature index (signature id spaces are per shard).
+  std::unique_ptr<QueryScopedCache> cache;
+  BoundScratch bound_scratch;
+  std::vector<double> bounds;
+  std::vector<uint32_t> order;
+  double mapping_seconds = 0.0;
+  double bound_seconds = 0.0;
+  size_t nonzero = 0;
+  size_t pruned = 0;
+  size_t floor_hits = 0;
+
+  PartitionLocal(const TableId* ids, size_t count, size_t stride, size_t k)
+      : ids(ids), count(count), stride(stride), top(k) {}
+  TableId id(size_t i) const { return ids[i * stride]; }
 };
 
 double SearchEngine::UpperBoundTable(const Query& query,
@@ -937,602 +898,291 @@ double SearchEngine::UpperBoundTable(const Query& query,
     index.Build(table, dedup);
     view = index.View();
   }
-  if (compressed) {
-    return UpperBoundWithView(ctx, table.num_rows(), view,
-                              CompressedBoundSim{sim_}, options_.aggregation,
-                              scratch);
-  }
-  return UpperBoundWithView(ctx, table.num_rows(), view, *sim_,
-                            options_.aggregation, scratch);
+  auto bound = [&](const auto& sim) {
+    return UpperBoundWithView(ctx, table.num_rows(), view, sim,
+                              options_.aggregation, scratch);
+  };
+  return compressed ? bound(CompressedBoundSim{sim_}) : bound(*sim_);
 }
 
 std::vector<SearchHit> SearchEngine::SearchCandidates(
     const Query& query, const std::vector<TableId>& candidates,
     SearchStats* stats) const {
-  return SearchCandidatesImpl(query, candidates, stats, /*flush_stats=*/true);
-}
-
-std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
-    const Query& query, const std::vector<TableId>& candidates,
-    SearchStats* stats, bool flush_stats,
-    const FusedQueryInput* fused) const {
-  if (shards_.size() > 1) {
-    return SearchShards(query, candidates, /*pool=*/nullptr, stats,
-                        flush_stats, fused);
-  }
-  obs::TraceSpan query_span("query");
-  Stopwatch watch;
-  std::vector<TableId> live_storage;
-  size_t tombstoned = 0;
-  const std::vector<TableId>& cands = FilterTombstoned(
-      candidates, options_.tombstones.get(), &live_storage, &tombstoned);
-  DeadlineState dl;
-  dl.Arm(options_.deadline_seconds);
-  double mapping_seconds = 0.0;
-  double bound_seconds = 0.0;
-  std::unique_ptr<QueryScopedCache> cache;
-  if (options_.enable_cache) {
-    // Fused batches share one σ memo across queries; the mapping cache
-    // stays query-scoped either way.
-    cache = fused != nullptr && fused->memo != nullptr
-                ? std::make_unique<QueryScopedCache>(
-                      fused->memo, &shards_.front().signatures)
-                : std::make_unique<QueryScopedCache>(
-                      sim_, &shards_.front().signatures);
-  }
-  TopK<TableId> top(std::max<size_t>(1, options_.top_k));
-  size_t nonzero = 0;
-  size_t pruned = 0;
-
-  const bool prune = options_.enable_prune && !cands.empty();
-  std::vector<double> bounds;
-  std::vector<uint32_t> order;
-  const char* bound_backend = "fp32";
-  if (prune && fused != nullptr) {
-    // Bounds arrive precomputed from the batch's fused table-major pass;
-    // only the per-query sort remains here. Their cost was attributed to
-    // the batch, so bound_seconds stays 0 for this query.
-    obs::TraceSpan bound_span("bound");
-    const std::vector<double>& fb = *fused->bounds_by_table;
-    bounds.resize(cands.size());
-    for (size_t i = 0; i < cands.size(); ++i) {
-      bounds[i] = cands[i] < fb.size()
-                      ? fb[cands[i]]
-                      : std::numeric_limits<double>::infinity();
-    }
-    bound_backend = fused->bound_backend;
-    SortByBound(cands, bounds, &order);
-    obs::RecordBoundBackend(bound_backend);
-  } else if (prune) {
-    obs::TraceSpan bound_span("bound");
-    Stopwatch bound_watch;
-    BoundContext ctx;
-    BuildBoundContext(query, *lake_, options_, &ctx);
-    BoundScratch bound_scratch;
-    bounds.resize(cands.size());
-    bound_backend = ResolveBoundBackend(options_, *sim_);
-    if (bound_backend[0] != 'f') {
-      // Compressed backend: bound values are upper bounds, not σ, so they
-      // bypass the memo entirely — exact scoring later probes a cold cache
-      // for exactly the survivors' pairs, nothing else.
-      CompressedBoundSim bound_sim{sim_};
-      for (size_t i = 0; i < cands.size(); ++i) {
-        if ((i % kDeadlineStride) == 0 && dl.Expired()) break;
-        bounds[i] = BoundForTable(ctx, *this, lake_->corpus(), cands[i],
-                                  bound_sim, options_.aggregation,
-                                  bound_scratch);
-      }
-    } else {
-      for (size_t i = 0; i < cands.size(); ++i) {
-        if ((i % kDeadlineStride) == 0 && dl.Expired()) break;
-        // σ probes go through the query's memo when caching is on, so the
-        // bound pass pre-warms exactly the pairs exact scoring reuses.
-        bounds[i] =
-            cache != nullptr
-                ? BoundForTable(ctx, *this, lake_->corpus(), cands[i],
-                                cache->sim(), options_.aggregation,
-                                bound_scratch)
-                : BoundForTable(ctx, *this, lake_->corpus(), cands[i],
-                                *sim_, options_.aggregation, bound_scratch);
-      }
-    }
-    SortByBound(cands, bounds, &order);
-    bound_seconds = bound_watch.ElapsedSeconds();
-    obs::RecordBoundBackend(bound_backend);
-  }
-
-  if (!dl.Hit()) {
-    obs::TraceSpan scoring_span("scoring");
-    if (!prune) {
-      for (TableId id : cands) {
-        if (dl.Expired()) break;
-        double score =
-            ScoreTableImpl(query, id, &mapping_seconds, nullptr, cache.get());
-        if (score > 0.0) {
-          ++nonzero;
-          top.Push(id, score);
-        }
-      }
-    } else {
-      for (size_t pos = 0; pos < order.size(); ++pos) {
-        if (dl.Expired()) break;
-        size_t i = order[pos];
-        TableId id = cands[i];
-        // Bound 0 means the exact score is exactly 0 (see the bound
-        // derivation) — and in bound-descending order everything after is
-        // 0 too. A bound provably outside the full top-k stops the loop
-        // the same way: later candidates have smaller bounds (or equal
-        // bounds and larger ids) against a threshold that can only rise.
-        if (bounds[i] <= 0.0 || ProvablyOutside(top, bounds[i], id)) {
-          pruned += order.size() - pos;
-          break;
-        }
-        double score =
-            ScoreTableImpl(query, id, &mapping_seconds, nullptr, cache.get());
-        if (score > 0.0) {
-          ++nonzero;
-          top.Push(id, score);
-        }
-      }
-    }
-    // The Hungarian mapping runs interleaved inside the scoring loop;
-    // per-table spans would swamp the trace, so its accumulated time is
-    // emitted as one aggregated span instead.
-    obs::TraceAggregate("mapping", mapping_seconds);
-  }
-  std::vector<SearchHit> hits;
-  if (!dl.Hit()) {
-    obs::TraceSpan topk_span("topk");
-    for (const auto& [id, score] : top.Extract()) {
-      hits.push_back(SearchHit{id, score});
-    }
-  }
-  SearchStats local;
-  FillCandidateStats(*lake_, cands.size(), pruned, nonzero,
-                     watch.ElapsedSeconds(), mapping_seconds, bound_seconds,
-                     &local);
-  local.bound_backend = bound_backend;
-  local.tables_tombstoned = tombstoned;
-  if (dl.Hit()) local.deadline_exceeded = 1;
-  if (fused != nullptr) local.bound_fused_reuses = fused->reuses;
-  if (cache != nullptr) AddCacheStats(*cache, &local);
-  if (flush_stats) FlushQueryStats(local);
-  if (stats != nullptr) *stats = local;
-  return hits;
+  return SearchCandidatesImpl(query, candidates, /*pool=*/nullptr, stats,
+                              /*flush_stats=*/true);
 }
 
 std::vector<SearchHit> SearchEngine::SearchCandidatesParallel(
     const Query& query, const std::vector<TableId>& candidates,
     ThreadPool* pool, SearchStats* stats) const {
   THETIS_CHECK(pool != nullptr);
-  if (shards_.size() > 1) {
-    return SearchShards(query, candidates, pool, stats, /*flush_stats=*/true);
+  return SearchCandidatesImpl(query, candidates, pool, stats,
+                              /*flush_stats=*/true);
+}
+
+void SearchEngine::PrunePartition(const Query& query, PruneQuery& q,
+                                  SharedScoreFloor* floor,
+                                  PartitionLocal* local) const {
+  PartitionLocal& part = *local;
+  if (q.prune && part.count > 0) {
+    obs::TraceSpan bound_span("bound");
+    Stopwatch bound_watch;
+    part.bounds.resize(part.count);
+    auto fill = [&](auto&& bound_of) {
+      for (size_t i = 0; i < part.count; ++i) {
+        if ((i % kDeadlineStride) == 0 && q.dl.Expired()) break;
+        part.bounds[i] = bound_of(part.id(i));
+      }
+    };
+    auto probe = [&](const auto& sim) {
+      fill([&](TableId id) {
+        // Tables ingested after engine construction have no arena view:
+        // +inf, always scored, never pruned.
+        ColumnIndexView view;
+        if (!ArenaViewOf(id, &view)) {
+          return std::numeric_limits<double>::infinity();
+        }
+        return UpperBoundWithView(q.ctx, lake_->corpus().table(id).num_rows(),
+                                  view, sim, options_.aggregation,
+                                  part.bound_scratch);
+      });
+    };
+    if (q.fused_bounds != nullptr) {
+      // Tables the fused pass did not cover (late ingests) get +inf, as on
+      // the per-query path.
+      const std::vector<double>& fb = *q.fused_bounds;
+      fill([&](TableId id) {
+        return id < fb.size() ? fb[id]
+                              : std::numeric_limits<double>::infinity();
+      });
+    } else if (q.compressed) {
+      // Compressed bound values are upper bounds, not σ, so they bypass
+      // the memo entirely — exact scoring later probes a cold cache for
+      // exactly the survivors' pairs, nothing else.
+      probe(CompressedBoundSim{sim_});
+    } else if (part.cache != nullptr) {
+      // σ probes go through the memo, so the bound pass pre-warms exactly
+      // the pairs exact scoring reuses.
+      probe(part.cache->sim());
+    } else {
+      probe(*sim_);
+    }
+    // Bound descending, table id ascending on ties. With the id-ascending
+    // tie rule, once one candidate is prunable against the current
+    // threshold every later one is too, so the walk may stop instead of
+    // skipping one-by-one.
+    part.order.resize(part.count);
+    std::iota(part.order.begin(), part.order.end(), 0u);
+    std::sort(part.order.begin(), part.order.end(),
+              [&](uint32_t a, uint32_t b) {
+                if (part.bounds[a] != part.bounds[b]) {
+                  return part.bounds[a] > part.bounds[b];
+                }
+                return part.id(a) < part.id(b);
+              });
+    // A fused batch owns its bound cost (SearchStats::bound_fused_reuses).
+    if (q.fused_bounds == nullptr) {
+      part.bound_seconds = bound_watch.ElapsedSeconds();
+    }
   }
+  if (q.dl.Hit()) return;
+  obs::TraceSpan scoring_span("scoring");
+  for (size_t pos = 0; pos < part.count; ++pos) {
+    if (q.dl.Expired()) break;
+    const size_t i = q.prune ? part.order[pos] : pos;
+    const TableId id = part.id(i);
+    if (q.prune) {
+      // Bound 0 means the exact score is exactly 0 (see the bound
+      // derivation), and in bound-descending order everything after is 0
+      // too. A bound provably outside the full top-k, or strictly below
+      // the shared floor, stops the walk the same way: later candidates
+      // have smaller bounds (or equal bounds and larger ids) against
+      // thresholds that can only rise.
+      const double bound = part.bounds[i];
+      const bool zero = bound <= 0.0;
+      const bool local_out = ProvablyOutside(part.top, bound, id);
+      const bool floor_out = floor != nullptr && bound < floor->Load();
+      if (zero || local_out || floor_out) {
+        const size_t remaining = part.count - pos;
+        part.pruned += remaining;
+        // floor_hits counts stops only the cross-partition floor caused.
+        if (floor_out && !zero && !local_out) part.floor_hits += remaining;
+        break;
+      }
+    }
+    const double score = ScoreTableImpl(query, id, &part.mapping_seconds,
+                                        nullptr, part.cache.get());
+    if (score > 0.0) {
+      ++part.nonzero;
+      part.top.Push(id, score);
+      // Publish on every admission into a full heap, not just on heap
+      // turnover: MinScore is non-decreasing from here on, and each raise
+      // lets the other partitions stop earlier.
+      if (floor != nullptr && part.top.Full()) {
+        floor->Update(part.top.MinScore());
+      }
+    }
+  }
+  // The Hungarian mapping runs interleaved inside the walk; per-table spans
+  // would swamp the trace, so its accumulated time is emitted as one
+  // aggregated span instead.
+  obs::TraceAggregate("mapping", part.mapping_seconds);
+}
+
+std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
+    const Query& query, const std::vector<TableId>& candidates,
+    ThreadPool* pool, SearchStats* stats, bool flush_stats,
+    const std::vector<double>* fused_bounds, SimilarityMemo* batch_memo) const {
   obs::TraceSpan query_span("query");
   Stopwatch watch;
   std::vector<TableId> live_storage;
   size_t tombstoned = 0;
   const std::vector<TableId>& cands = FilterTombstoned(
       candidates, options_.tombstones.get(), &live_storage, &tombstoned);
-  DeadlineState dl;
-  dl.Arm(options_.deadline_seconds);
-  size_t workers = pool->num_threads();
-  struct Local {
-    TopK<TableId> top;
-    // Worker-private cache: lock-free because each stripe is scored by
-    // exactly one ParallelFor index (null when caching is disabled).
-    std::unique_ptr<QueryScopedCache> cache;
-    BoundScratch bound_scratch;
-    double mapping_seconds = 0.0;
-    double bound_seconds = 0.0;
-    size_t nonzero = 0;
-    size_t pruned = 0;
-    size_t floor_hits = 0;
-    explicit Local(size_t k) : top(k) {}
-  };
-  std::vector<Local> locals;
-  locals.reserve(workers + 1);
-  for (size_t i = 0; i <= workers; ++i) {
-    locals.emplace_back(std::max<size_t>(1, options_.top_k));
-    if (options_.enable_cache) {
-      locals.back().cache = std::make_unique<QueryScopedCache>(
-          sim_, &shards_.front().signatures);
-    }
-  }
-  // Stripe candidates over slots; each ParallelFor index owns one stripe so
-  // no synchronization is needed inside the scoring loop.
-  size_t stripes = locals.size();
-
-  const bool prune = options_.enable_prune && !cands.empty();
-  std::vector<double> bounds;
-  std::vector<uint32_t> order;
-  BoundContext ctx;
+  PruneQuery q;
+  q.dl.Arm(options_.deadline_seconds);
+  q.prune = options_.enable_prune && !cands.empty();
+  q.fused_bounds = fused_bounds;
   const char* bound_backend = "fp32";
-  if (prune) {
-    BuildBoundContext(query, *lake_, options_, &ctx);
-    bounds.assign(cands.size(), 0.0);
+  if (q.prune) {
+    // The fused pass resolved the same backend for its bounds.
     bound_backend = ResolveBoundBackend(options_, *sim_);
-    const bool compressed = bound_backend[0] != 'f';
-    // Striped bound pass: disjoint indices, no synchronization needed.
-    pool->ParallelFor(stripes, [&](size_t stripe) {
-      obs::TraceSpan bound_span("bound");
-      Stopwatch bound_watch;
-      Local& local = locals[stripe];
-      size_t steps = 0;
-      if (compressed) {
-        // See the serial loop: compressed bounds bypass the worker memos.
-        CompressedBoundSim bound_sim{sim_};
-        for (size_t i = stripe; i < cands.size(); i += stripes) {
-          if ((steps++ % kDeadlineStride) == 0 && dl.Expired()) break;
-          bounds[i] = BoundForTable(ctx, *this, lake_->corpus(),
-                                    cands[i], bound_sim,
-                                    options_.aggregation,
-                                    local.bound_scratch);
-        }
-      } else {
-        for (size_t i = stripe; i < cands.size(); i += stripes) {
-          if ((steps++ % kDeadlineStride) == 0 && dl.Expired()) break;
-          bounds[i] = local.cache != nullptr
-                          ? BoundForTable(ctx, *this, lake_->corpus(),
-                                          cands[i], local.cache->sim(),
-                                          options_.aggregation,
-                                          local.bound_scratch)
-                          : BoundForTable(ctx, *this, lake_->corpus(),
-                                          cands[i], *sim_,
-                                          options_.aggregation,
-                                          local.bound_scratch);
-        }
-      }
-      local.bound_seconds += bound_watch.ElapsedSeconds();
-    });
-    SortByBound(cands, bounds, &order);
-    obs::RecordBoundBackend(bound_backend);
+    if (fused_bounds == nullptr) {
+      BuildBoundContext(query, *lake_, options_, &q.ctx);
+    }
   }
+  q.compressed = bound_backend[0] != 'f';
 
-  // Shared score floor: the max over every stripe's local top-k threshold
-  // AND the eagerly merged global heap's threshold (see below). Any value
-  // ever published is the MinScore of a full k-heap of exactly scored
-  // tables, so a stale read only prunes less — never wrongly. The strict <
-  // (no id tie rule — the floor carries no id) keeps the skip provably
-  // outside the merged top-k; see SharedScoreFloor.
-  SharedScoreFloor floor(options_.floor_observer, options_.floor_observer_ctx);
-  // Eagerly merged global top-k: stripes fold their local heaps in as soon
-  // as they finish, so the merged threshold — at least as tight as any
-  // single stripe's — reaches the floor while other stripes still run.
-  // (Before this existed, the floor only ever carried single-stripe
-  // thresholds, and a stripe that admitted k weak tables early could not
-  // benefit from the stronger cross-stripe truth.)
-  TopK<TableId> merged(std::max<size_t>(1, options_.top_k));
-  std::mutex merge_mu;
-  pool->ParallelFor(stripes, [&](size_t stripe) {
-    obs::TraceSpan scoring_span("scoring");
-    Local& local = locals[stripe];
-    if (dl.Hit()) return;
-    if (!prune) {
-      for (size_t i = stripe; i < cands.size(); i += stripes) {
-        if (dl.Expired()) break;
-        double score = ScoreTableImpl(query, cands[i],
-                                      &local.mapping_seconds, nullptr,
-                                      local.cache.get());
-        if (score > 0.0) {
-          ++local.nonzero;
-          local.top.Push(cands[i], score);
-        }
-      }
-    } else {
-      // Each stripe walks every stripes-th position of the global
-      // bound-descending order, so its own subsequence is bound-descending
-      // too and the stop-instead-of-skip argument holds per stripe.
-      for (size_t pos = stripe; pos < order.size(); pos += stripes) {
-        if (dl.Expired()) break;
-        size_t i = order[pos];
-        TableId id = cands[i];
-        // Remaining positions of this stripe: pos, pos+stripes, ...
-        const size_t remaining = (order.size() - pos + stripes - 1) / stripes;
-        bool zero = bounds[i] <= 0.0;
-        bool local_out = ProvablyOutside(local.top, bounds[i], id);
-        bool floor_out = bounds[i] < floor.Load();
-        if (zero || local_out || floor_out) {
-          local.pruned += remaining;
-          // Credit the shared floor only when it alone caused the stop —
-          // that is the cross-stripe (cross-shard) win the counter tracks.
-          if (floor_out && !zero && !local_out) local.floor_hits += remaining;
-          break;
-        }
-        double score = ScoreTableImpl(query, id, &local.mapping_seconds,
-                                      nullptr, local.cache.get());
-        if (score > 0.0) {
-          ++local.nonzero;
-          local.top.Push(id, score);
-          // Publish on every admission into a full heap, not just on heap
-          // turnover: MinScore is non-decreasing from here on, and each
-          // raise lets the other stripes stop earlier.
-          if (local.top.Full()) floor.Update(local.top.MinScore());
-        }
-      }
-    }
-    // One aggregated mapping span per stripe (the per-table Hungarian runs
-    // are too hot for individual spans).
-    obs::TraceAggregate("mapping", local.mapping_seconds);
-    // Eager merge on stripe completion. The merged heap's admission set is
-    // order-independent under the (score desc, id asc) total order, so the
-    // final ranking is identical no matter which stripe merges first.
-    std::lock_guard<std::mutex> lock(merge_mu);
-    for (const auto& [id, score] : local.top.Extract()) {
-      merged.Push(id, score);
-    }
-    if (prune && merged.Full()) floor.Update(merged.MinScore());
-  });
-  double mapping_seconds = 0.0;
-  double bound_seconds = 0.0;
-  size_t nonzero = 0;
-  size_t pruned = 0;
-  size_t floor_hits = 0;
-  std::vector<SearchHit> hits;
-  {
-    obs::TraceSpan topk_span("topk");
-    for (Local& local : locals) {
-      mapping_seconds += local.mapping_seconds;
-      bound_seconds += local.bound_seconds;
-      nonzero += local.nonzero;
-      pruned += local.pruned;
-      floor_hits += local.floor_hits;
-    }
-    if (!dl.Hit()) {
-      for (const auto& [id, score] : merged.Extract()) {
-        hits.push_back(SearchHit{id, score});
-      }
-    }
-  }
-  SearchStats local_stats;
-  FillCandidateStats(*lake_, cands.size(), pruned, nonzero,
-                     watch.ElapsedSeconds(), mapping_seconds, bound_seconds,
-                     &local_stats);
-  local_stats.bound_backend = bound_backend;
-  local_stats.tables_tombstoned = tombstoned;
-  if (dl.Hit()) local_stats.deadline_exceeded = 1;
-  local_stats.floor_hits = floor_hits;
-  local_stats.floor_publishes = floor.publishes();
-  for (const Local& local : locals) {
-    if (local.cache != nullptr) AddCacheStats(*local.cache, &local_stats);
-  }
-  FlushQueryStats(local_stats);
-  if (stats != nullptr) *stats = local_stats;
-  return hits;
-}
-
-std::vector<SearchHit> SearchEngine::SearchShards(
-    const Query& query, const std::vector<TableId>& candidates,
-    ThreadPool* pool, SearchStats* stats, bool flush_stats,
-    const FusedQueryInput* fused) const {
-  obs::TraceSpan query_span("query");
-  Stopwatch watch;
   const size_t num_shards = shards_.size();
   const size_t top_k = std::max<size_t>(1, options_.top_k);
-
-  // Scatter: bucket candidates by shard, dropping tombstoned tables on the
-  // way (they are neither bounded nor scored). Bucket order preserves the
-  // caller's candidate order within a shard; the bound sort (or, unpruned,
-  // the id-independent TopK admission) makes results independent of it.
-  const TableTombstones* tombs =
-      options_.tombstones != nullptr && !options_.tombstones->empty()
-          ? options_.tombstones.get()
-          : nullptr;
-  size_t tombstoned = 0;
-  std::vector<std::vector<TableId>> buckets(num_shards);
-  for (TableId id : candidates) {
-    if (tombs != nullptr && tombs->Contains(id)) {
-      ++tombstoned;
-      continue;
-    }
-    buckets[ShardOf(id)].push_back(id);
+  const bool parallel = pool != nullptr && pool->num_threads() > 1;
+  // Partitions that run on one thread share one σ memo: the batch's when
+  // fused, else a query-scoped one, so no partition rescores a pair
+  // another already scored. Pooled partitions each own theirs (the memo
+  // is unsynchronized). The Hungarian mapping cache is per partition.
+  std::optional<SimilarityMemo> query_memo;
+  SimilarityMemo* shared_memo = batch_memo;
+  if (options_.enable_cache && shared_memo == nullptr && !parallel) {
+    shared_memo = &query_memo.emplace(sim_);
   }
-  const size_t live_count = candidates.size() - tombstoned;
-  DeadlineState dl;
-  dl.Arm(options_.deadline_seconds);
-
-  const bool prune = options_.enable_prune && live_count > 0;
-  BoundContext ctx;
-  const char* bound_backend = "fp32";
-  if (prune) {
-    if (fused != nullptr) {
-      // Fused batch: bounds precomputed table-major, no per-query context.
-      bound_backend = fused->bound_backend;
-    } else {
-      BuildBoundContext(query, *lake_, options_, &ctx);
-      bound_backend = ResolveBoundBackend(options_, *sim_);
-    }
-  }
-
-  // The shared score floor every shard prunes against and publishes to;
-  // see SharedScoreFloor for the exactness contract.
-  SharedScoreFloor floor(options_.floor_observer, options_.floor_observer_ctx);
-
-  struct ShardLocal {
-    TopK<TableId> top;
-    // Shard-private cache over the shard's own signature index (shard
-    // signature id spaces are disjoint; a cache never sees two shards).
-    std::unique_ptr<QueryScopedCache> cache;
-    BoundScratch bound_scratch;
-    std::vector<double> bounds;
-    std::vector<uint32_t> order;
-    double mapping_seconds = 0.0;
-    double bound_seconds = 0.0;
-    size_t nonzero = 0;
-    size_t pruned = 0;
-    size_t floor_hits = 0;
-    explicit ShardLocal(size_t k) : top(k) {}
+  std::vector<PartitionLocal> parts;
+  auto add_partition = [&](const TableId* ids, size_t count, size_t stride,
+                           const EngineShard& shard) {
+    PartitionLocal& part = parts.emplace_back(ids, count, stride, top_k);
+    if (!options_.enable_cache || count == 0) return;
+    part.cache =
+        shared_memo != nullptr
+            ? std::make_unique<QueryScopedCache>(shared_memo,
+                                                 &shard.signatures)
+            : std::make_unique<QueryScopedCache>(sim_, &shard.signatures);
   };
-  std::vector<ShardLocal> locals;
-  locals.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    locals.emplace_back(top_k);
-    if (options_.enable_cache) {
-      // Fused batches share one σ memo across shards AND queries (the
-      // batch runs serially, so the unsynchronized memo is safe); the
-      // mapping cache stays shard- and query-scoped as before.
-      locals.back().cache =
-          fused != nullptr && fused->memo != nullptr
-              ? std::make_unique<QueryScopedCache>(fused->memo,
-                                                   &shards_[s].signatures)
-              : std::make_unique<QueryScopedCache>(sim_,
-                                                   &shards_[s].signatures);
+
+  // Split the candidates: one partition per shard for a sharded engine;
+  // otherwise one round-robin slice per pool worker (the caller counts —
+  // it runs chunks too), or a single partition over the whole list.
+  std::vector<std::vector<TableId>> buckets;
+  if (num_shards > 1) {
+    // Bucket order keeps the caller's order within a shard; the bound sort
+    // (or, unpruned, the order-independent TopK admission) makes results
+    // independent of it.
+    buckets.resize(num_shards);
+    for (TableId id : cands) buckets[ShardOf(id)].push_back(id);
+    parts.reserve(num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
+      add_partition(buckets[s].data(), buckets[s].size(), 1, shards_[s]);
+    }
+  } else {
+    const size_t slices = parallel ? pool->num_threads() + 1 : 1;
+    parts.reserve(slices);
+    for (size_t p = 0; p < slices; ++p) {
+      const size_t count =
+          p < cands.size() ? (cands.size() - p + slices - 1) / slices : 0;
+      add_partition(cands.data() + std::min(p, cands.size()), count, slices,
+                    shards_.front());
     }
   }
 
-  // Gather: shard heaps fold into one merged heap as soon as each shard
-  // finishes. The TopK admission set is order-independent under the
-  // (score desc, id asc) total order, so the merged ranking is identical
-  // no matter which shard finishes first — and the merged threshold is
-  // republished immediately to tighten the floor for shards still running.
+  // Several partitions prune against one shared score floor (see
+  // SharedScoreFloor for the exactness contract) and fold their heaps into
+  // `merged` as soon as each finishes. The TopK admission set is
+  // order-independent under the (score desc, id asc) total order, so the
+  // merged ranking is identical whichever partition finishes first, and
+  // the merged threshold — at least as tight as any one partition's — is
+  // republished at once for the partitions still running.
+  SharedScoreFloor floor(options_.floor_observer, options_.floor_observer_ctx);
+  SharedScoreFloor* shared_floor =
+      q.prune && parts.size() > 1 ? &floor : nullptr;
   TopK<TableId> merged(top_k);
   std::mutex merge_mu;
-
-  auto run_shard = [&](size_t s) {
-    ShardLocal& local = locals[s];
-    const std::vector<TableId>& cands = buckets[s];
-    if (prune && !cands.empty() && fused != nullptr) {
-      // Gather this shard's slice of the batch-precomputed dense bounds;
-      // only the per-shard sort remains (bound_seconds stays 0 — the
-      // batch owns the bound cost).
-      obs::TraceSpan bound_span("bound");
-      const std::vector<double>& fb = *fused->bounds_by_table;
-      local.bounds.resize(cands.size());
-      for (size_t i = 0; i < cands.size(); ++i) {
-        local.bounds[i] = cands[i] < fb.size()
-                              ? fb[cands[i]]
-                              : std::numeric_limits<double>::infinity();
-      }
-      SortByBound(cands, local.bounds, &local.order);
-    } else if (prune && !cands.empty()) {
-      obs::TraceSpan bound_span("bound");
-      Stopwatch bound_watch;
-      local.bounds.resize(cands.size());
-      if (bound_backend[0] != 'f') {
-        CompressedBoundSim bound_sim{sim_};
-        for (size_t i = 0; i < cands.size(); ++i) {
-          if ((i % kDeadlineStride) == 0 && dl.Expired()) break;
-          local.bounds[i] =
-              BoundForTable(ctx, *this, lake_->corpus(), cands[i], bound_sim,
-                            options_.aggregation, local.bound_scratch);
-        }
-      } else {
-        for (size_t i = 0; i < cands.size(); ++i) {
-          if ((i % kDeadlineStride) == 0 && dl.Expired()) break;
-          local.bounds[i] =
-              local.cache != nullptr
-                  ? BoundForTable(ctx, *this, lake_->corpus(), cands[i],
-                                  local.cache->sim(), options_.aggregation,
-                                  local.bound_scratch)
-                  : BoundForTable(ctx, *this, lake_->corpus(), cands[i],
-                                  *sim_, options_.aggregation,
-                                  local.bound_scratch);
-        }
-      }
-      SortByBound(cands, local.bounds, &local.order);
-      local.bound_seconds = bound_watch.ElapsedSeconds();
-    }
-    if (!dl.Hit()) {
-      obs::TraceSpan scoring_span("scoring");
-      if (!prune) {
-        for (TableId id : cands) {
-          if (dl.Expired()) break;
-          double score = ScoreTableImpl(query, id, &local.mapping_seconds,
-                                        nullptr, local.cache.get());
-          if (score > 0.0) {
-            ++local.nonzero;
-            local.top.Push(id, score);
-          }
-        }
-      } else {
-        // Per-shard bound-descending prune loop: the stop-instead-of-skip
-        // argument holds within the shard, and the shared floor folds in
-        // what the other shards have already proven.
-        for (size_t pos = 0; pos < local.order.size(); ++pos) {
-          if (dl.Expired()) break;
-          size_t i = local.order[pos];
-          TableId id = cands[i];
-          const size_t remaining = local.order.size() - pos;
-          bool zero = local.bounds[i] <= 0.0;
-          bool local_out = ProvablyOutside(local.top, local.bounds[i], id);
-          bool floor_out = local.bounds[i] < floor.Load();
-          if (zero || local_out || floor_out) {
-            local.pruned += remaining;
-            // floor_hits counts stops only the cross-shard floor caused.
-            if (floor_out && !zero && !local_out) {
-              local.floor_hits += remaining;
-            }
-            break;
-          }
-          double score = ScoreTableImpl(query, id, &local.mapping_seconds,
-                                        nullptr, local.cache.get());
-          if (score > 0.0) {
-            ++local.nonzero;
-            local.top.Push(id, score);
-            // Admission-time publish: every raise lets other shards stop
-            // earlier.
-            if (local.top.Full()) floor.Update(local.top.MinScore());
-          }
-        }
-      }
-      obs::TraceAggregate("mapping", local.mapping_seconds);
-    }
+  auto run = [&](size_t p) {
+    PrunePartition(query, q, shared_floor, &parts[p]);
+    if (parts.size() == 1) return;
     std::lock_guard<std::mutex> lock(merge_mu);
-    for (const auto& [id, score] : local.top.Extract()) {
+    for (const auto& [id, score] : parts[p].top.Extract()) {
       merged.Push(id, score);
     }
-    if (prune && merged.Full()) floor.Update(merged.MinScore());
+    if (shared_floor != nullptr && merged.Full()) {
+      shared_floor->Update(merged.MinScore());
+    }
   };
-
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(num_shards, /*min_chunk=*/1, run_shard);
+  if (parallel) {
+    pool->ParallelFor(parts.size(), /*min_chunk=*/1, run);
   } else {
-    // Serial scatter-gather: shards run in index order, so floor
-    // publications form one monotone sequence (the shard-invariance tests
-    // assert exactly this).
-    for (size_t s = 0; s < num_shards; ++s) run_shard(s);
+    // In index order, so floor publications form one monotone sequence
+    // (the shard tests assert exactly this).
+    for (size_t p = 0; p < parts.size(); ++p) run(p);
   }
-  if (prune) obs::RecordBoundBackend(bound_backend);
+  if (q.prune) obs::RecordBoundBackend(bound_backend);
 
   std::vector<SearchHit> hits;
   SearchStats local_stats;
-  double mapping_seconds = 0.0;
-  double bound_seconds = 0.0;
-  size_t nonzero = 0;
-  size_t pruned = 0;
-  size_t floor_hits = 0;
   {
     obs::TraceSpan topk_span("topk");
-    for (size_t s = 0; s < num_shards; ++s) {
-      ShardLocal& local = locals[s];
-      mapping_seconds += local.mapping_seconds;
-      bound_seconds += local.bound_seconds;
-      nonzero += local.nonzero;
-      pruned += local.pruned;
-      floor_hits += local.floor_hits;
-      double shard_prune_rate =
-          buckets[s].empty() ? 0.0
-                             : static_cast<double>(local.pruned) /
-                                   static_cast<double>(buckets[s].size());
-      obs::RecordShardLoop(s, shard_prune_rate, local.bound_seconds);
-      if (local.cache != nullptr) AddCacheStats(*local.cache, &local_stats);
+    for (size_t p = 0; p < parts.size(); ++p) {
+      const PartitionLocal& part = parts[p];
+      local_stats.mapping_seconds += part.mapping_seconds;
+      local_stats.bound_seconds += part.bound_seconds;
+      local_stats.tables_nonzero += part.nonzero;
+      local_stats.tables_pruned += part.pruned;
+      local_stats.floor_hits += part.floor_hits;
+      if (num_shards > 1) {
+        const double shard_prune_rate =
+            part.count == 0 ? 0.0
+                            : static_cast<double>(part.pruned) /
+                                  static_cast<double>(part.count);
+        obs::RecordShardLoop(p, shard_prune_rate, part.bound_seconds);
+      }
+      if (part.cache != nullptr) {
+        local_stats.sim_cache_hits += part.cache->sim_hits();
+        local_stats.sim_cache_misses += part.cache->sim_misses();
+        local_stats.mapping_cache_hits += part.cache->mapping_hits();
+        local_stats.mapping_cache_misses += part.cache->mapping_misses();
+      }
     }
-    if (!dl.Hit()) {
-      for (const auto& [id, score] : merged.Extract()) {
+    if (!q.dl.Hit()) {
+      TopK<TableId>& top = parts.size() == 1 ? parts.front().top : merged;
+      for (const auto& [id, score] : top.Extract()) {
         hits.push_back(SearchHit{id, score});
       }
     }
   }
-  FillCandidateStats(*lake_, live_count, pruned, nonzero,
-                     watch.ElapsedSeconds(), mapping_seconds, bound_seconds,
-                     &local_stats);
+  if (query_memo.has_value()) {
+    local_stats.sim_cache_hits += query_memo->hits();
+    local_stats.sim_cache_misses += query_memo->misses();
+  }
+  const size_t corpus_size = lake_->corpus().size();
+  local_stats.candidate_count = cands.size();
+  local_stats.tables_scored = cands.size() - local_stats.tables_pruned;
+  local_stats.search_space_reduction =
+      corpus_size == 0 ? 0.0
+                       : 1.0 - static_cast<double>(cands.size()) /
+                                   static_cast<double>(corpus_size);
+  local_stats.total_seconds = watch.ElapsedSeconds();
   local_stats.bound_backend = bound_backend;
   local_stats.tables_tombstoned = tombstoned;
-  if (dl.Hit()) local_stats.deadline_exceeded = 1;
+  if (q.dl.Hit()) local_stats.deadline_exceeded = 1;
   local_stats.num_shards = num_shards;
-  local_stats.floor_hits = floor_hits;
   local_stats.floor_publishes = floor.publishes();
-  if (fused != nullptr) local_stats.bound_fused_reuses = fused->reuses;
   if (flush_stats) FlushQueryStats(local_stats);
   if (stats != nullptr) *stats = local_stats;
   return hits;
@@ -1772,19 +1422,18 @@ std::vector<std::vector<SearchHit>> SearchEngine::SearchBatchFused(
   // flush is deferred so the shared memo's per-query traffic (measured as
   // deltas around the query) lands in the stats the registry sees.
   for (size_t q = 0; q < queries.size(); ++q) {
-    FusedQueryInput input;
-    input.bounds_by_table = prune ? &fused.by_table[q] : nullptr;
-    input.bound_backend = bound_backend;
-    input.memo = shared_memo.get();
-    input.reuses = fused.shared_entities[q] * fused.probed_tables;
     const size_t memo_hits0 =
         shared_memo != nullptr ? shared_memo->hits() : 0;
     const size_t memo_misses0 =
         shared_memo != nullptr ? shared_memo->misses() : 0;
     SearchStats local;
-    all_hits[q] = SearchCandidatesImpl(queries[q], candidates, &local,
-                                       /*flush_stats=*/false, &input);
+    all_hits[q] = SearchCandidatesImpl(queries[q], candidates,
+                                       /*pool=*/nullptr, &local,
+                                       /*flush_stats=*/false,
+                                       prune ? &fused.by_table[q] : nullptr,
+                                       shared_memo.get());
     local.search_space_reduction = 0.0;
+    local.bound_fused_reuses = fused.shared_entities[q] * fused.probed_tables;
     if (shared_memo != nullptr) {
       local.sim_cache_hits = shared_memo->hits() - memo_hits0;
       local.sim_cache_misses = shared_memo->misses() - memo_misses0;
@@ -1813,7 +1462,8 @@ std::vector<SearchHit> PrefilteredSearchEngine::Search(
   // LSEI lookup, then flush exactly once — the registry and the caller see
   // the same (corrected) totals.
   SearchStats local;
-  auto hits = engine_->SearchCandidatesImpl(query, candidates, &local,
+  auto hits = engine_->SearchCandidatesImpl(query, candidates,
+                                            /*pool=*/nullptr, &local,
                                             /*flush_stats=*/false);
   local.total_seconds = watch.ElapsedSeconds();
   FlushQueryStats(local);

@@ -87,7 +87,7 @@ struct SearchOptions {
   // (Search/SearchCandidates/SearchBatchFused). The default 0.0 means
   // "none": no clock is consulted and behavior is exactly the pre-deadline
   // engine. With a positive budget the bound pass and the scoring loop
-  // check a shared expiry flag at stripe granularity; on expiry the query
+  // of every partition check one shared expiry flag; on expiry the query
   // aborts all-or-nothing — it returns NO hits and sets
   // SearchStats::deadline_exceeded — so a ranking, when returned, is
   // always the complete exact top-k, never a partial one.
@@ -112,10 +112,13 @@ struct SearchHit {
   double score;
 };
 
-// Per-query injection of the batch-fused bound pass, and that pass's
-// output (defined in the .cc; see SearchEngine::SearchBatchFused).
-struct FusedQueryInput;
+// Output of the batch-fused bound pass (defined in the .cc; see
+// SearchEngine::SearchBatchFused).
 struct FusedBounds;
+// Per-query and per-partition state of the prune kernel (defined in the
+// .cc; see SearchEngine::PrunePartition).
+struct PruneQuery;
+struct PartitionLocal;
 
 // Why one query entity contributed what it did to a table's score.
 struct EntityExplanation {
@@ -182,9 +185,10 @@ struct SearchStats {
   // Shards the engine searched (1 for the classic unsharded engine).
   size_t num_shards = 1;
   // Candidates pruned specifically because their bound fell below the
-  // globally shared score floor — i.e. another shard's (or stripe's)
-  // admissions killed them before their own local top-k could. A subset of
-  // tables_pruned; 0 for serial unsharded search (no cross-worker floor).
+  // globally shared score floor — i.e. another partition's (shard's or
+  // pool slice's) admissions killed them before their own local top-k
+  // could. A subset of tables_pruned; 0 for serial unsharded and
+  // prefiltered search (one partition, no shared floor).
   size_t floor_hits = 0;
   // Successful raises of the shared score floor this query.
   size_t floor_publishes = 0;
@@ -250,13 +254,7 @@ class SearchEngine {
   void set_options(const SearchOptions& options) { options_ = options; }
 
   // Construction artifacts and borrowed collaborators, exposed for the
-  // snapshot writer. arena()/signature_index() are the single-shard
-  // accessors kept for that writer and for tests; shards() is the general
-  // form.
-  const CorpusColumnArena& arena() const { return shards_.front().arena; }
-  const TableSignatureIndex& signature_index() const {
-    return shards_.front().signatures;
-  }
+  // snapshot writer and for tests.
   const std::vector<EngineShard>& shards() const { return shards_; }
   const EntitySimilarity* similarity() const { return sim_; }
   const SemanticDataLake* lake() const { return lake_; }
@@ -359,32 +357,32 @@ class SearchEngine {
                         double* mapping_seconds, Explanation* explanation,
                         QueryScopedCache* cache) const;
 
-  // Shared serial implementation: SearchCandidates flushes the stats to
-  // the metrics registry itself; PrefilteredSearchEngine (a friend)
-  // disables the flush, corrects total_seconds to include the LSEI
-  // lookup, and flushes once from there — so the registry never sees a
-  // total that excludes prefilter time.
-  // `fused` (null for per-query execution) injects the batch-fused bound
-  // pass: precomputed dense bounds, the batch-scoped σ memo, and the
-  // resolved backend — the serial rerank below then skips its own bound
-  // computation but keeps sort, prune loop, and floors unchanged.
+  // The driver behind every search entry point: drops tombstoned
+  // candidates, splits the rest into partitions (one for serial search,
+  // one round-robin slice per pool worker, or one per shard of a sharded
+  // engine), runs PrunePartition on each — on `pool` when it has more than
+  // one thread, else in index order — merges their top-k heaps and folds
+  // their stats. SearchCandidates flushes the stats to the metrics
+  // registry itself; PrefilteredSearchEngine (a friend) disables the
+  // flush, corrects total_seconds to include the LSEI lookup, and flushes
+  // once from there, so the registry never sees a total that excludes
+  // prefilter time. SearchBatchFused injects its fused bound pass: the
+  // query's dense per-TableId bounds in `fused_bounds` (its partitions
+  // then compute none) and the batch-scoped σ memo in `batch_memo`; both
+  // are null for per-query execution.
   std::vector<SearchHit> SearchCandidatesImpl(
       const Query& query, const std::vector<TableId>& candidates,
-      SearchStats* stats, bool flush_stats,
-      const FusedQueryInput* fused = nullptr) const;
+      ThreadPool* pool, SearchStats* stats, bool flush_stats,
+      const std::vector<double>* fused_bounds = nullptr,
+      SimilarityMemo* batch_memo = nullptr) const;
 
-  // Scatter-gather over shards_ (the multi-shard search path, serial when
-  // `pool` is null): buckets candidates by shard, runs bound-and-prune per
-  // shard with a shard-local top-k against the globally shared score
-  // floor, and merges shard heaps eagerly under the deterministic tie
-  // rule. Rankings are bit-identical to the unsharded engine — see
-  // DESIGN.md "Sharded scatter-gather".
-  std::vector<SearchHit> SearchShards(const Query& query,
-                                      const std::vector<TableId>& candidates,
-                                      ThreadPool* pool, SearchStats* stats,
-                                      bool flush_stats,
-                                      const FusedQueryInput* fused =
-                                          nullptr) const;
+  // The one bound-and-prune kernel: bounds one partition's candidates,
+  // sorts them bound descending and scores them until a bound proves the
+  // rest outside the partition's top-k or strictly below `floor` (null
+  // when the query has one partition), publishing each admission into a
+  // full heap to `floor`. See DESIGN.md "Bound-and-prune exact top-k".
+  void PrunePartition(const Query& query, PruneQuery& q,
+                      SharedScoreFloor* floor, PartitionLocal* local) const;
 
   // Phases A and B of SearchBatchFused: the batch's entity union, then one
   // table-major walk of every shard's arena that bounds every query of the

@@ -17,8 +17,9 @@ namespace thetis {
 // The table is a flat open-addressing hash keyed on the packed pair id —
 // no buckets, no allocation per insert, linear probing with a fibonacci
 // spread. It is deliberately NOT synchronized: the intended lifetime is one
-// query on one worker thread (the search engine creates one memo per worker
-// stripe), which keeps the hot path lock-free.
+// query on one thread (the search engine shares one memo between the
+// partitions of a query that run on one thread, and gives each pooled
+// partition its own), which keeps the hot path lock-free.
 class SimilarityMemo final : public EntitySimilarity {
  public:
   // `base` is borrowed and must outlive the memo. `expected_pairs` presizes
