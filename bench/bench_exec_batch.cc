@@ -4,8 +4,8 @@
 // time and the query-scoped cache hit rates.
 //
 // Expected shape: cached >= 1.5x faster than nocache at every worker
-// count (the σ memo removes the per-(row, table) recomputation that
-// Table 3 measures); throughput scales with workers since queries are
+// count (the query σ table removes the per-(row, table) recomputation
+// that Table 3 measures); throughput scales with workers since queries are
 // independent; hit rates are high (each query entity is scored against
 // the same lake entities over and over).
 

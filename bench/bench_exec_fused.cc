@@ -1,15 +1,16 @@
 // Batch-fused query execution: throughput of the table-major fused bound
 // pass (one arena walk per group, every table's distinct-entity slice
 // gathered once and scored against the batch's entity union via the
-// multi-query kernels, one shared σ memo per group) versus the legacy
+// multi-query kernels, one σ table per group) versus the legacy
 // query-major path, at batch sizes 1/8/32 on the ~1k-table default lake.
 //
 // The workload is topical serving traffic — many concurrent queries about
 // few topics — which is where fusion pays: queries within a group share
 // entities, so the fused pass computes each (entity, table) σ once instead
-// of once per query. Two backend legs: fp32 bounds with the σ memo on
-// (fusion shares one memo across the group) and int8 quantized bounds with
-// the memo off (fusion amortizes the per-table gather + kernel dispatch).
+// of once per query. Two backend legs: fp32 bounds with the cache on
+// (fusion shares one σ table across the group) and int8 quantized bounds
+// with the cache off (fusion amortizes the per-table gather + kernel
+// dispatch).
 //
 // Expected shape: queries_per_sec grows with batch size on both legs;
 // batch 32 is >= 1.5x batch 1 (the CI gate enforces the weaker
@@ -67,7 +68,7 @@ void ExecFusedBench(benchmark::State& state, size_t batch, bool int8) {
   SearchOptions options;
   const EntitySimilarity* sim;
   if (int8) {
-    // Quantized bounds bypass the memo; fusion's lever here is the
+    // Quantized bounds need no σ table; fusion's lever here is the
     // once-per-table gather + one multi-query kernel call per slice.
     options.enable_cache = false;
     options.bound_backend = SearchOptions::BoundBackend::kInt8;

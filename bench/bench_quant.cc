@@ -7,9 +7,9 @@
 //   QuantBound/fp32    bound_ms_per_query with the exact fp32 bound pass.
 //   QuantBound/int8    same queries with the int8 quantized bound pass.
 //
-// Both also run with the similarity memo off (`*_nocache`): with the memo
-// on, fp32 bound probes are amortized across tables (and pre-warm the
-// rerank), so the cached pair measures the end-to-end trade while the
+// Both also run with the cache off (`*_nocache`): with the cache on, fp32
+// bound probes are gathers from the query's σ table (whose rows the rerank
+// reads too), so the cached pair measures the end-to-end trade while the
 // nocache pair isolates the raw bound-pass cost — that is the pair CI
 // gates on (int8 not slower than fp32, with slack for timer noise).
 //

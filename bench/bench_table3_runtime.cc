@@ -1,7 +1,7 @@
 // Reproduces Table 3: per-query search runtime with LSH prefiltering, for
 // the six LSEI configurations x {1, 3} votes, on 1- and 5-tuple queries,
 // plus the brute-force STST/STSE reference columns — each brute-force row
-// in both cached (query-scoped σ memo + mapping signature cache, the
+// in both cached (query σ table + mapping signature cache, the
 // default) and nocache variants.
 //
 // Expected shape (paper): prefiltered search is several times faster than

@@ -23,7 +23,7 @@
 //       computes its admissible upper bounds: the exact fp32 sigma, the
 //       int8 quantized embedding arena, the packed type bitsets, or auto
 //       (default: the compressed backend when the scoring cache is off,
-//       else fp32, whose memoized probes pre-warm the rerank).
+//       else fp32, read from the query's sigma table like the rerank).
 //       Every backend is admissible, so rankings are bit-identical; a
 //       backend the similarity cannot serve falls back to fp32. The
 //       resolved choice is printed and the per-backend arena bytes land
@@ -37,7 +37,7 @@
 //       rankings are bit-identical to --shards 1 for every N and the
 //       shard layout persists through --save-engine/--load-engine.
 //       --batch-size N (with --threads) groups queries into fused batches
-//       of N: one table-major bound pass and one shared sigma memo serve
+//       of N: one table-major bound pass and one shared sigma table serve
 //       the whole group (rankings bit-identical to N=1); --no-batch-fuse
 //       is the escape hatch back to the legacy per-query path. The
 //       resolved execution mode is printed alongside the backend/shard

@@ -148,8 +148,8 @@ struct MappingScratch {
   ColumnEntityIndex index;
 };
 
-// Templated over the concrete similarity type: passing a final class (e.g.
-// SimilarityMemo) devirtualizes and inlines the σ call in the innermost
+// Templated over the concrete similarity type: passing a concrete σ
+// source (e.g. SigmaReader) inlines the σ batch call in the innermost
 // matrix loop, which dominates the per-table cost once σ itself is cached.
 // Consumes a prebuilt ColumnEntityIndex so multi-tuple queries (and the
 // row aggregation) share one gather+dedup pass per table.

@@ -164,16 +164,6 @@ size_t QueryScopedCache::MappingKeyHash::operator()(
   return static_cast<size_t>(h);
 }
 
-QueryScopedCache::QueryScopedCache(const EntitySimilarity* base,
-                                   const TableSignatureIndex* signature_index)
-    : owned_memo_(std::make_unique<SimilarityMemo>(base)),
-      memo_(owned_memo_.get()),
-      signature_index_(signature_index) {}
-
-QueryScopedCache::QueryScopedCache(SimilarityMemo* shared_memo,
-                                   const TableSignatureIndex* signature_index)
-    : memo_(shared_memo), signature_index_(signature_index) {}
-
 uint32_t QueryScopedCache::SignatureOf(TableId table_id,
                                        ColumnIndexView index) {
   if (signature_index_ != nullptr && signature_index_->CoversTable(table_id)) {
@@ -201,15 +191,15 @@ uint32_t QueryScopedCache::SignatureOf(TableId table_id,
 
 const ColumnMapping& QueryScopedCache::MappingFor(
     size_t tuple_index, const std::vector<EntityId>& tuple, const Table& table,
-    TableId table_id) {
+    TableId table_id, const SigmaReader& sigma) {
   mapping_scratch_.index.Build(table, mapping_scratch_.dedup);
-  return MappingFor(tuple_index, tuple, table, table_id,
-                    mapping_scratch_.index);
+  return MappingFor(tuple_index, tuple, table_id,
+                    mapping_scratch_.index.View(), sigma);
 }
 
 const ColumnMapping& QueryScopedCache::MappingFor(
-    size_t tuple_index, const std::vector<EntityId>& tuple,
-    const Table& /*table*/, TableId table_id, ColumnIndexView index) {
+    size_t tuple_index, const std::vector<EntityId>& tuple, TableId table_id,
+    ColumnIndexView index, const SigmaReader& sigma) {
   key_scratch_.tuple_and_sig =
       (static_cast<uint64_t>(tuple_index) << 32) |
       static_cast<uint64_t>(SignatureOf(table_id, index));
@@ -243,11 +233,11 @@ const ColumnMapping& QueryScopedCache::MappingFor(
     return it->second;
   }
   ++mapping_misses_;
-  // Concrete memo type: σ probes inline inside the matrix loop. The matrix
-  // scratch is reused across tables for the lifetime of the query.
+  // The matrix scratch is reused across tables for the lifetime of the
+  // query.
   return mappings_
       .emplace(key_scratch_, MapQueryTupleToColumnsIndexed(
-                                 tuple, index, *memo_, mapping_scratch_))
+                                 tuple, index, sigma, mapping_scratch_))
       .first->second;
 }
 

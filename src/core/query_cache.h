@@ -2,14 +2,13 @@
 #define THETIS_CORE_QUERY_CACHE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/column_mapping.h"
 #include "core/similarity.h"
-#include "core/similarity_memo.h"
+#include "core/sigma_table.h"
 #include "table/corpus.h"
 #include "table/table.h"
 #include "util/flat_array.h"
@@ -84,78 +83,44 @@ TableSignatureIndex BuildTableSignatureIndexRange(
     const Corpus& corpus, std::span<const uint32_t> entity_classes,
     const CorpusColumnArena& shard_arena, TableId begin, TableId end);
 
-// Query-scoped scoring cache: everything Algorithm 1 recomputes per table
-// that actually only depends on the query. Holds
+// Query-scoped Hungarian mapping cache: two tables with σ-equivalent
+// column contents (see TableSignatureIndex) produce identical
+// column-relevance matrices, hence identical optimal assignments, so τ is
+// solved once per distinct (signature, identity fingerprint) pair.
 //
-//  * a SimilarityMemo over the engine's σ — each (query-entity, cell-entity)
-//    pair is scored once per query instead of once per (row, table);
-//  * a column-signature cache for the Hungarian mapping τ — two tables with
-//    σ-equivalent column contents (see TableSignatureIndex) produce
-//    identical column-relevance matrices, hence identical optimal
-//    assignments, so τ is solved once per distinct (signature, identity
-//    fingerprint) pair.
-//
-// Both caches are exact, not approximate: signatures are compared by full
+// The cache is exact, not approximate: signatures are compared by full
 // content (hashes only bucket), and the identity fingerprint pins every
 // position where a query entity appears verbatim in the table, so cached
-// scoring is bit-identical to uncached scoring. Like SimilarityMemo, an
-// instance serves one thread for the lifetime of one query; the engine
-// creates one per partition of the query's candidates.
+// mappings are bit-identical to solving fresh. An instance serves one
+// thread for the lifetime of one query; the engine creates one per
+// partition of the query's candidates.
 class QueryScopedCache {
  public:
-  // `base` and `signature_index` are borrowed and must outlive the cache.
-  // `signature_index` (may be null) is the engine-precomputed signature
-  // table; tables beyond its range — or all tables when it is null — are
-  // interned per query in a disjoint id space (entity-granularity classes
-  // when null).
-  explicit QueryScopedCache(const EntitySimilarity* base,
-                            const TableSignatureIndex* signature_index =
-                                nullptr);
-
-  // Wraps an externally owned σ memo instead of creating one: the
-  // batch-fused path shares ONE memo across every query of a batch (σ
-  // pairs the queries have in common are probed once per batch, not once
-  // per query), while the Hungarian mapping cache stays per-instance —
-  // its keys embed the query's tuple indexes, so it can never be shared
-  // across queries. `shared_memo` is borrowed and must outlive the cache;
-  // like the cache itself it serves one thread at a time.
-  QueryScopedCache(SimilarityMemo* shared_memo,
-                   const TableSignatureIndex* signature_index);
-
-  // The memoized σ; score through this instead of the engine's raw σ.
-  const SimilarityMemo& sim() const { return *memo_; }
+  // `signature_index` (may be null) is borrowed and must outlive the
+  // cache: the engine-precomputed signature table. Tables beyond its range
+  // — or all tables when it is null — are interned per query in a
+  // disjoint id space (entity-granularity classes when null).
+  explicit QueryScopedCache(const TableSignatureIndex* signature_index =
+                                nullptr)
+      : signature_index_(signature_index) {}
 
   // The Hungarian mapping of query tuple `tuple_index` (content `tuple`)
-  // against `table` (whose prebuilt column-entity view is `index` — an
-  // arena slice or a per-table index's View()), computed at most once per
-  // distinct (signature, identity fingerprint). The returned reference is
-  // stable until the cache is destroyed.
+  // against table `table_id` (whose prebuilt column-entity view is `index`
+  // — an arena slice or a per-table index's View()), computed from `sigma`
+  // at most once per distinct (signature, identity fingerprint). The
+  // returned reference is stable until the cache is destroyed.
   const ColumnMapping& MappingFor(size_t tuple_index,
                                   const std::vector<EntityId>& tuple,
-                                  const Table& table, TableId table_id,
-                                  ColumnIndexView index);
-  const ColumnMapping& MappingFor(size_t tuple_index,
-                                  const std::vector<EntityId>& tuple,
-                                  const Table& table, TableId table_id,
-                                  const ColumnEntityIndex& index) {
-    return MappingFor(tuple_index, tuple, table, table_id, index.View());
-  }
+                                  TableId table_id, ColumnIndexView index,
+                                  const SigmaReader& sigma);
 
   // Convenience overload that builds the column-entity index internally;
-  // the engine's hot path passes the prebuilt per-table index instead.
+  // the engine's hot path passes the prebuilt arena view instead.
   const ColumnMapping& MappingFor(size_t tuple_index,
                                   const std::vector<EntityId>& tuple,
-                                  const Table& table, TableId table_id);
+                                  const Table& table, TableId table_id,
+                                  const SigmaReader& sigma);
 
-  // σ memo counters, zero when the memo is shared (a batch-scoped memo's
-  // traffic is attributed once at batch scope — summing the cumulative
-  // counters per query would multiply-count it).
-  size_t sim_hits() const {
-    return owned_memo_ != nullptr ? memo_->hits() : 0;
-  }
-  size_t sim_misses() const {
-    return owned_memo_ != nullptr ? memo_->misses() : 0;
-  }
   size_t mapping_hits() const { return mapping_hits_; }
   size_t mapping_misses() const { return mapping_misses_; }
 
@@ -201,10 +166,6 @@ class QueryScopedCache {
   // or per-query interned from the table's prebuilt column-entity view).
   uint32_t SignatureOf(TableId table_id, ColumnIndexView index);
 
-  // Owned for the classic per-query cache, null when wrapping a shared
-  // (batch-scoped) memo; memo_ points at whichever exists.
-  std::unique_ptr<SimilarityMemo> owned_memo_;
-  SimilarityMemo* memo_;
   // Engine-precomputed signature index (null when unavailable).
   const TableSignatureIndex* signature_index_;
   // Per-query signature interning for tables the precomputed index does

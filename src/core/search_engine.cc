@@ -120,6 +120,7 @@ SearchEngine::SearchEngine(const SemanticDataLake* lake,
   }
   all_tables_.resize(corpus.size());
   std::iota(all_tables_.begin(), all_tables_.end(), TableId{0});
+  vocab_ = SigmaVocabulary(lake->MentionedEntities());
 }
 
 SearchEngine::SearchEngine(const SemanticDataLake* lake,
@@ -131,9 +132,9 @@ SearchEngine::SearchEngine(const SemanticDataLake* lake,
       shards_(std::move(prebuilt.shards)) {
   THETIS_CHECK(lake != nullptr && sim != nullptr);
   // No build phases: the shard arenas and σ-class signature indexes arrive
-  // ready (typically views over an mmap'd snapshot). Only the shard bounds
-  // and the identity candidate list are materialized here — both trivially
-  // derivable and not worth snapshot sections.
+  // ready (typically views over an mmap'd snapshot). Only the shard bounds,
+  // the identity candidate list and the σ vocabulary are materialized here
+  // — all trivially derivable and not worth snapshot sections.
   THETIS_CHECK(!shards_.empty()) << "prebuilt engine needs at least one shard";
   THETIS_CHECK(shards_.front().begin == 0)
       << "prebuilt shards must start at table 0";
@@ -147,6 +148,7 @@ SearchEngine::SearchEngine(const SemanticDataLake* lake,
   }
   all_tables_.resize(lake->corpus().size());
   std::iota(all_tables_.begin(), all_tables_.end(), TableId{0});
+  vocab_ = SigmaVocabulary(lake->MentionedEntities());
 }
 
 size_t SearchEngine::ShardOf(TableId id) const {
@@ -168,16 +170,39 @@ bool SearchEngine::ArenaViewOf(TableId id, ColumnIndexView* view) const {
   return true;
 }
 
+QuerySigmaTable SearchEngine::SigmaTableFor(
+    std::vector<EntityId> entities, std::span<const TableId> candidates,
+    ThreadPool* pool) const {
+  // Pairs the query will serve each entity: at least its candidates'
+  // distinct-entity unions (the bound pass scores each once). Counting
+  // stops at the vocabulary size, the only threshold that matters. With
+  // caching off the count stays 0, so the table gets no rows.
+  size_t pairs = 0;
+  if (options_.enable_cache) {
+    for (TableId id : candidates) {
+      if (pairs >= vocab_.size()) break;
+      ColumnIndexView view;
+      if (ArenaViewOf(id, &view)) pairs += view.DistinctCount();
+    }
+  }
+  return QuerySigmaTable(sim_, &vocab_, std::move(entities), pairs, pool);
+}
+
 double SearchEngine::ScoreTable(const Query& query, TableId table_id,
                                 double* mapping_seconds) const {
-  return ScoreTableImpl(query, table_id, mapping_seconds, nullptr, nullptr);
+  const QuerySigmaTable sigma = SigmaTableFor(
+      query.DistinctEntities(), std::span<const TableId>(&table_id, 1));
+  return ScoreTableImpl(query, table_id, mapping_seconds, nullptr,
+                        SigmaReader(&sigma), nullptr);
 }
 
 Explanation SearchEngine::Explain(const Query& query, TableId table_id) const {
+  const QuerySigmaTable sigma = SigmaTableFor(
+      query.DistinctEntities(), std::span<const TableId>(&table_id, 1));
   Explanation explanation;
   explanation.table = table_id;
-  explanation.score =
-      ScoreTableImpl(query, table_id, nullptr, &explanation, nullptr);
+  explanation.score = ScoreTableImpl(query, table_id, nullptr, &explanation,
+                                     SigmaReader(&sigma), nullptr);
   return explanation;
 }
 
@@ -192,11 +217,8 @@ namespace {
 // its count. The max scan over distinct entities in first-occurrence
 // order with a strict > preserves the cell-at-a-time tie rule: among
 // equal-scoring entities the one whose first row appears earliest wins.
-// Templated on the concrete similarity type so the cached path
-// (SimilarityMemo, a final class) devirtualizes the batch probe.
-template <typename Sim>
 void AggregateRows(ColumnIndexView index, const std::vector<EntityId>& tq,
-                   const ColumnMapping& mapping, const Sim& sim,
+                   const ColumnMapping& mapping, const SigmaReader& sigma,
                    QueryScopedCache::RowScratch& scratch) {
   size_t m = tq.size();
   std::vector<double>& agg = scratch.agg;
@@ -211,7 +233,7 @@ void AggregateRows(ColumnIndexView index, const std::vector<EntityId>& tq,
     const EntityId* distinct = index.ColumnDistinct(static_cast<size_t>(c));
     const double* counts = index.ColumnCounts(static_cast<size_t>(c));
     cell_scores.resize(count);
-    sim.ScoreBatch(tq[i], distinct, count, cell_scores.data());
+    sigma.ScoreBatch(tq[i], distinct, count, cell_scores.data());
     for (size_t d = 0; d < count; ++d) {
       double s = cell_scores[d];
       sums[i] += counts[d] * s;
@@ -223,11 +245,11 @@ void AggregateRows(ColumnIndexView index, const std::vector<EntityId>& tq,
   }
 }
 
-// Scratch for uncached scoring, reused across calls within a thread: this
-// function runs once per (query, table), and with the batched kernels the
-// buffer/dedup-table allocations would otherwise rival the σ arithmetic
-// itself (especially for the cheap type-intersection σ). thread_local keeps
-// SearchCandidatesParallel race-free without locks.
+// Scratch for scoring without a mapping cache, reused across calls within
+// a thread: this function runs once per (query, table), and with the
+// batched kernels the buffer/dedup-table allocations would otherwise rival
+// the σ arithmetic itself (especially for the cheap type-intersection σ).
+// thread_local keeps pooled search race-free without locks.
 struct UncachedScoringScratch {
   MappingScratch mapping;
   QueryScopedCache::RowScratch rows;
@@ -243,6 +265,7 @@ UncachedScoringScratch& ThreadScratch() {
 double SearchEngine::ScoreTableImpl(const Query& query, TableId table_id,
                                     double* mapping_seconds,
                                     Explanation* explanation,
+                                    const SigmaReader& sigma,
                                     QueryScopedCache* cache) const {
   const Table& table = lake_->corpus().table(table_id);
   if (query.tuples.empty() || table.num_rows() == 0) return 0.0;
@@ -278,10 +301,9 @@ double SearchEngine::ScoreTableImpl(const Query& query, TableId table_id,
     ColumnMapping local_mapping;
     const ColumnMapping* mapping_ptr;
     if (cache != nullptr) {
-      mapping_ptr = &cache->MappingFor(tuple_index, tq, table, table_id,
-                                       view);
+      mapping_ptr = &cache->MappingFor(tuple_index, tq, table_id, view, sigma);
     } else {
-      local_mapping = MapQueryTupleToColumnsIndexed(tq, view, *sim_,
+      local_mapping = MapQueryTupleToColumnsIndexed(tq, view, sigma,
                                                     ThreadScratch().mapping);
       mapping_ptr = &local_mapping;
     }
@@ -297,11 +319,7 @@ double SearchEngine::ScoreTableImpl(const Query& query, TableId table_id,
     agg.assign(m, 0.0);
     sums.assign(m, 0.0);
     best_match.assign(m, kNoEntity);
-    if (cache != nullptr) {
-      AggregateRows(view, tq, mapping, cache->sim(), scratch);
-    } else {
-      AggregateRows(view, tq, mapping, *sim_, scratch);
-    }
+    AggregateRows(view, tq, mapping, sigma, scratch);
     if (options_.aggregation == RowAggregation::kAvg) {
       for (size_t i = 0; i < m; ++i) {
         agg[i] = sums[i] / static_cast<double>(table.num_rows());
@@ -778,10 +796,10 @@ double UpperBoundWithView(const BoundContext& ctx, size_t num_rows,
   scratch.colmax.resize(num_entities * num_columns);
   scratch.rows.resize(num_entities);
   const EntityId* distinct = view.distinct + view.DistinctBegin();
+  // One multi-query σ batch covers every entity and column at once.
+  sim.ScoreBatchMulti(ctx.entities.data(), num_entities, distinct,
+                      union_count, scratch.sigma.data());
   for (size_t q = 0; q < num_entities; ++q) {
-    // One batched σ per query entity covers every column at once.
-    sim.ScoreBatch(ctx.entities[q], distinct, union_count,
-                   scratch.sigma.data() + q * union_count);
     scratch.rows[q] = scratch.colmax.data() + q * num_columns;
   }
   ColumnMaxima(view, scratch.sigma.data(), num_entities,
@@ -790,26 +808,24 @@ double UpperBoundWithView(const BoundContext& ctx, size_t num_rows,
                               scratch);
 }
 
-// Adapter presenting a similarity's UpperBoundBatch as ScoreBatch, so the
-// templated bound helpers below run the compressed backend through the
-// same code path as the exact σ. Deliberately bypasses the query's
-// SimilarityMemo: bound values are upper bounds, not σ, and must never
-// enter the cache the exact rerank reads from.
+// Adapter presenting a similarity's UpperBoundBatchMulti as
+// ScoreBatchMulti, so the templated bound helpers below run the compressed
+// backend through the same code path as the exact σ.
 struct CompressedBoundSim {
   const EntitySimilarity* sim;
-  void ScoreBatch(EntityId q, const EntityId* targets, size_t count,
-                  double* out) const {
-    sim->UpperBoundBatch(q, targets, count, out);
+  void ScoreBatchMulti(const EntityId* qs, size_t nq, const EntityId* targets,
+                       size_t count, double* out) const {
+    sim->UpperBoundBatchMulti(qs, nq, targets, count, out);
   }
 };
 
 // Resolves SearchOptions::bound_backend against the similarity's
-// compressed backend. kAuto is cache-aware: with the memo ON, fp32 bound
-// probes are memoized across tables and pre-warm exactly the pairs the
-// exact rerank reads, which measures faster end-to-end than any compressed
-// bound (see EXPERIMENTS.md); with the memo OFF there is nothing to
-// amortize, so the cheaper compressed probe wins and kAuto takes it. An
-// explicit request the similarity cannot serve falls back to fp32.
+// compressed backend. kAuto is cache-aware: with the cache ON, fp32 bound
+// probes are gathers from the query's σ table, which measures faster
+// end-to-end than any compressed bound (see EXPERIMENTS.md); with the
+// cache OFF there is nothing to amortize, so the cheaper compressed probe
+// wins and kAuto takes it. An explicit request the similarity cannot serve
+// falls back to fp32.
 const char* ResolveBoundBackend(const SearchOptions& options,
                                 const EntitySimilarity& sim) {
   const char* compressed = sim.CompressedBoundBackend();
@@ -862,9 +878,11 @@ struct PartitionLocal {
   size_t count;
   size_t stride;
   TopK<TableId> top;
-  // Partition-private query cache (null when caching is disabled or the
-  // partition is empty). Its mapping half is keyed by one shard's
-  // signature index (signature id spaces are per shard).
+  // This partition's reader of the query's σ table.
+  SigmaReader sigma;
+  // Partition-private mapping cache (null when caching is disabled or the
+  // partition is empty), keyed by one shard's signature index (signature
+  // id spaces are per shard).
   std::unique_ptr<QueryScopedCache> cache;
   BoundScratch bound_scratch;
   std::vector<double> bounds;
@@ -875,8 +893,9 @@ struct PartitionLocal {
   size_t pruned = 0;
   size_t floor_hits = 0;
 
-  PartitionLocal(const TableId* ids, size_t count, size_t stride, size_t k)
-      : ids(ids), count(count), stride(stride), top(k) {}
+  PartitionLocal(const TableId* ids, size_t count, size_t stride, size_t k,
+                 const QuerySigmaTable* sigma)
+      : ids(ids), count(count), stride(stride), top(k), sigma(sigma) {}
   TableId id(size_t i) const { return ids[i * stride]; }
 };
 
@@ -956,16 +975,9 @@ void SearchEngine::PrunePartition(const Query& query, PruneQuery& q,
                               : std::numeric_limits<double>::infinity();
       });
     } else if (q.compressed) {
-      // Compressed bound values are upper bounds, not σ, so they bypass
-      // the memo entirely — exact scoring later probes a cold cache for
-      // exactly the survivors' pairs, nothing else.
       probe(CompressedBoundSim{sim_});
-    } else if (part.cache != nullptr) {
-      // σ probes go through the memo, so the bound pass pre-warms exactly
-      // the pairs exact scoring reuses.
-      probe(part.cache->sim());
     } else {
-      probe(*sim_);
+      probe(part.sigma);
     }
     // Bound descending, table id ascending on ties. With the id-ascending
     // tie rule, once one candidate is prunable against the current
@@ -1011,7 +1023,7 @@ void SearchEngine::PrunePartition(const Query& query, PruneQuery& q,
       }
     }
     const double score = ScoreTableImpl(query, id, &part.mapping_seconds,
-                                        nullptr, part.cache.get());
+                                        nullptr, part.sigma, part.cache.get());
     if (score > 0.0) {
       ++part.nonzero;
       part.top.Push(id, score);
@@ -1032,7 +1044,8 @@ void SearchEngine::PrunePartition(const Query& query, PruneQuery& q,
 std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
     const Query& query, const std::vector<TableId>& candidates,
     ThreadPool* pool, SearchStats* stats, bool flush_stats,
-    const std::vector<double>* fused_bounds, SimilarityMemo* batch_memo) const {
+    const std::vector<double>* fused_bounds,
+    const QuerySigmaTable* batch_sigma) const {
   obs::TraceSpan query_span("query");
   Stopwatch watch;
   std::vector<TableId> live_storage;
@@ -1056,25 +1069,22 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
   const size_t num_shards = shards_.size();
   const size_t top_k = std::max<size_t>(1, options_.top_k);
   const bool parallel = pool != nullptr && pool->num_threads() > 1;
-  // Partitions that run on one thread share one σ memo: the batch's when
-  // fused, else a query-scoped one, so no partition rescores a pair
-  // another already scored. Pooled partitions each own theirs (the memo
-  // is unsynchronized). The Hungarian mapping cache is per partition.
-  std::optional<SimilarityMemo> query_memo;
-  SimilarityMemo* shared_memo = batch_memo;
-  if (options_.enable_cache && shared_memo == nullptr && !parallel) {
-    shared_memo = &query_memo.emplace(sim_);
+  // Every partition reads one σ table: the batch's when fused, else one
+  // built here, across the pool when the partitions will run on it. The
+  // Hungarian mapping cache is per partition.
+  std::optional<QuerySigmaTable> query_sigma;
+  const QuerySigmaTable* sigma = batch_sigma;
+  if (sigma == nullptr) {
+    sigma = &query_sigma.emplace(SigmaTableFor(
+        query.DistinctEntities(), cands, parallel ? pool : nullptr));
   }
   std::vector<PartitionLocal> parts;
   auto add_partition = [&](const TableId* ids, size_t count, size_t stride,
                            const EngineShard& shard) {
-    PartitionLocal& part = parts.emplace_back(ids, count, stride, top_k);
+    PartitionLocal& part =
+        parts.emplace_back(ids, count, stride, top_k, sigma);
     if (!options_.enable_cache || count == 0) return;
-    part.cache =
-        shared_memo != nullptr
-            ? std::make_unique<QueryScopedCache>(shared_memo,
-                                                 &shard.signatures)
-            : std::make_unique<QueryScopedCache>(sim_, &shard.signatures);
+    part.cache = std::make_unique<QueryScopedCache>(&shard.signatures);
   };
 
   // Split the candidates: one partition per shard for a sharded engine;
@@ -1152,9 +1162,9 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
                                   static_cast<double>(part.count);
         obs::RecordShardLoop(p, shard_prune_rate, part.bound_seconds);
       }
+      local_stats.sim_cache_hits += part.sigma.hits();
+      local_stats.sim_cache_misses += part.sigma.misses();
       if (part.cache != nullptr) {
-        local_stats.sim_cache_hits += part.cache->sim_hits();
-        local_stats.sim_cache_misses += part.cache->sim_misses();
         local_stats.mapping_cache_hits += part.cache->mapping_hits();
         local_stats.mapping_cache_misses += part.cache->mapping_misses();
       }
@@ -1166,10 +1176,8 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
       }
     }
   }
-  if (query_memo.has_value()) {
-    local_stats.sim_cache_hits += query_memo->hits();
-    local_stats.sim_cache_misses += query_memo->misses();
-  }
+  // A batch's table fills belong to the batch, not to one of its queries.
+  if (query_sigma.has_value()) local_stats.sim_cache_misses += sigma->fills();
   const size_t corpus_size = lake_->corpus().size();
   local_stats.candidate_count = cands.size();
   local_stats.tables_scored = cands.size() - local_stats.tables_pruned;
@@ -1214,6 +1222,22 @@ std::vector<SearchHit> SearchEngine::Search(const Query& query,
   return hits;
 }
 
+namespace {
+
+// Sorted distinct entities of every query of a batch.
+std::vector<EntityId> BatchEntities(std::span<const Query> queries) {
+  std::vector<EntityId> out;
+  for (const Query& query : queries) {
+    const std::vector<EntityId> entities = query.DistinctEntities();
+    out.insert(out.end(), entities.begin(), entities.end());
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+}  // namespace
+
 // Output of the batch-fused bound pass (phases A and B of
 // SearchBatchFused).
 struct FusedBounds {
@@ -1230,7 +1254,7 @@ struct FusedBounds {
 };
 
 void SearchEngine::FusedBoundPass(std::span<const Query> queries,
-                                  SimilarityMemo* shared_memo,
+                                  const QuerySigmaTable& sigma,
                                   FusedBounds* out) const {
   const Corpus& corpus = lake_->corpus();
   // Batch budget for the fused bound pass: it serves the whole batch at
@@ -1239,25 +1263,19 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
   DeadlineState batch_dl;
   batch_dl.Arm(options_.deadline_seconds);
 
-  // Phase A: per-query bound contexts, the batch's sorted distinct entity
-  // UNION, and per-query maps from context slot to union slot. The first
-  // query referencing an entity "owns" it; later queries count it as
-  // shared — the σ work the fusion saves them.
+  // Phase A: per-query bound contexts and per-query maps from context slot
+  // to a slot of the batch's sorted distinct entity UNION (the σ table's
+  // entities). The first query referencing an entity "owns" it; later
+  // queries count it as shared — the σ work the fusion saves them.
+  const std::vector<EntityId>& union_entities = sigma.entities();
   std::vector<BoundContext> ctxs(queries.size());
-  std::vector<EntityId> union_entities;
   std::vector<std::vector<size_t>> slot_of(queries.size());
   out->shared_entities.assign(queries.size(), 0);
   out->by_table.assign(queries.size(), {});
   out->backend = ResolveBoundBackend(options_, *sim_);
   for (size_t q = 0; q < queries.size(); ++q) {
     BuildBoundContext(queries[q], *lake_, options_, &ctxs[q]);
-    union_entities.insert(union_entities.end(), ctxs[q].entities.begin(),
-                          ctxs[q].entities.end());
   }
-  std::sort(union_entities.begin(), union_entities.end());
-  union_entities.erase(
-      std::unique(union_entities.begin(), union_entities.end()),
-      union_entities.end());
   std::vector<uint32_t> owner(union_entities.size(),
                               std::numeric_limits<uint32_t>::max());
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -1292,7 +1310,8 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
   probed_tables = 0;
   const size_t nu = union_entities.size();
   const bool compressed = out->backend[0] != 'f';
-  std::vector<double> sigma;
+  SigmaReader reader(&sigma);
+  std::vector<double> union_sigma;
   std::vector<double> union_colmax;
   BoundScratch scratch;
   const TableTombstones* tombs =
@@ -1323,26 +1342,16 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
       union_colmax.assign(nu * num_columns, 0.0);
       if (union_count > 0 && nu > 0) {
         const EntityId* distinct = view.distinct + view.DistinctBegin();
-        sigma.resize(nu * union_count);
+        union_sigma.resize(nu * union_count);
+        // One multi-query pass covers the whole union.
         if (compressed) {
-          // Compressed bounds bypass the memo (they are bounds, not σ);
-          // one multi-query kernel pass covers the whole union.
           sim_->UpperBoundBatchMulti(union_entities.data(), nu, distinct,
-                                     union_count, sigma.data());
-        } else if (shared_memo != nullptr) {
-          // Memoized fp32: probe through the batch memo so the pass
-          // pre-warms exactly the σ pairs every rerank of the batch
-          // reads — the cross-query reuse the fusion exists for.
-          for (size_t u = 0; u < nu; ++u) {
-            shared_memo->ScoreBatch(union_entities[u], distinct,
-                                    union_count,
-                                    sigma.data() + u * union_count);
-          }
+                                     union_count, union_sigma.data());
         } else {
-          sim_->ScoreBatchMulti(union_entities.data(), nu, distinct,
-                                union_count, sigma.data());
+          reader.ScoreBatchMulti(union_entities.data(), nu, distinct,
+                                 union_count, union_sigma.data());
         }
-        ColumnMaxima(view, sigma.data(), nu, union_colmax.data());
+        ColumnMaxima(view, union_sigma.data(), nu, union_colmax.data());
       }
       // Per-query assembly from the shared maxima: a column maximum
       // depends only on (entity, slice), so pointing q's rows into the
@@ -1365,10 +1374,11 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
 
 std::vector<std::vector<double>> SearchEngine::UpperBoundBatch(
     std::span<const Query> queries) const {
-  std::unique_ptr<SimilarityMemo> memo;
-  if (options_.enable_cache) memo = std::make_unique<SimilarityMemo>(sim_);
+  std::vector<TableId> storage;
+  const QuerySigmaTable sigma =
+      SigmaTableFor(BatchEntities(queries), AllTables(&storage));
   FusedBounds fused;
-  FusedBoundPass(queries, memo.get(), &fused);
+  FusedBoundPass(queries, sigma, &fused);
   return std::move(fused.by_table);
 }
 
@@ -1383,17 +1393,13 @@ std::vector<std::vector<SearchHit>> SearchEngine::SearchBatchFused(
   const std::vector<TableId>& candidates = AllTables(&storage);
   const bool prune = options_.enable_prune && !candidates.empty();
 
-  // One σ memo for the whole batch: the rerank of query q probes pairs the
-  // bound pass (or an earlier query's rerank) already scored. Serial use
-  // only — the memo is unsynchronized, which is why the batch itself never
-  // parallelizes internally.
-  std::unique_ptr<SimilarityMemo> shared_memo;
-  if (options_.enable_cache) {
-    shared_memo = std::make_unique<SimilarityMemo>(sim_);
-  }
+  // One σ table over the batch's entity union serves the fused bound pass
+  // and every query's rerank.
+  const QuerySigmaTable sigma =
+      SigmaTableFor(BatchEntities(queries), candidates);
   FusedBounds fused;
   fused.shared_entities.assign(queries.size(), 0);
-  if (prune) FusedBoundPass(queries, shared_memo.get(), &fused);
+  if (prune) FusedBoundPass(queries, sigma, &fused);
   const char* bound_backend = fused.backend;
 
   size_t total_reuses = 0;
@@ -1419,25 +1425,17 @@ std::vector<std::vector<SearchHit>> SearchEngine::SearchBatchFused(
   }
 
   // Phase C: per-query exact rerank over the precomputed bounds. The
-  // flush is deferred so the shared memo's per-query traffic (measured as
-  // deltas around the query) lands in the stats the registry sees.
+  // flush is deferred so the stats the registry sees carry the fused
+  // corrections.
   for (size_t q = 0; q < queries.size(); ++q) {
-    const size_t memo_hits0 =
-        shared_memo != nullptr ? shared_memo->hits() : 0;
-    const size_t memo_misses0 =
-        shared_memo != nullptr ? shared_memo->misses() : 0;
     SearchStats local;
     all_hits[q] = SearchCandidatesImpl(queries[q], candidates,
                                        /*pool=*/nullptr, &local,
                                        /*flush_stats=*/false,
                                        prune ? &fused.by_table[q] : nullptr,
-                                       shared_memo.get());
+                                       &sigma);
     local.search_space_reduction = 0.0;
     local.bound_fused_reuses = fused.shared_entities[q] * fused.probed_tables;
-    if (shared_memo != nullptr) {
-      local.sim_cache_hits = shared_memo->hits() - memo_hits0;
-      local.sim_cache_misses = shared_memo->misses() - memo_misses0;
-    }
     FlushQueryStats(local);
     if (stats != nullptr) (*stats)[q] = local;
   }

@@ -12,6 +12,7 @@
 #include "core/query_cache.h"
 #include "core/score_floor.h"
 #include "core/semrel.h"
+#include "core/sigma_table.h"
 #include "core/similarity.h"
 #include "core/tombstones.h"
 #include "lsh/lsei.h"
@@ -42,10 +43,11 @@ struct SearchOptions {
   // Weight query entities by corpus informativeness I(e) (Eq. 2); when
   // false all weights are 1.
   bool use_informativeness = true;
-  // Memoize σ pairs and Hungarian mappings for the lifetime of each query
-  // (one QueryScopedCache per worker). Caching is exact — rankings are
-  // bit-identical with it on or off — so this is on by default; turn it
-  // off to measure the uncached baseline.
+  // Score each query entity against the lake vocabulary once per query
+  // (one QuerySigmaTable shared by every partition) and cache Hungarian
+  // mappings (one QueryScopedCache per partition). Caching is exact —
+  // rankings are bit-identical with it on or off — so this is on by
+  // default; turn it off to measure raw σ.
   bool enable_cache = true;
   // Bound-and-prune: before exact scoring, compute an admissible upper
   // bound per candidate (one batched σ over the table's distinct-entity
@@ -57,10 +59,10 @@ struct SearchOptions {
   // to measure the unpruned baseline.
   bool enable_prune = true;
   // Which backend computes the admissible upper bound of the prune pass.
-  // kAuto (the default) is cache-aware: when the memo is enabled, fp32
-  // bound probes are memoized across tables and pre-warm exactly the σ
-  // pairs the exact rerank reads, which beats any compressed bound
-  // end-to-end, so kAuto keeps fp32; with the memo off it takes the
+  // kAuto (the default) is cache-aware: when the cache is enabled, fp32
+  // bound probes are gathers from the query's σ table, which beats any
+  // compressed bound end-to-end, so kAuto keeps fp32; with the cache off
+  // it takes the
   // similarity's compressed backend when it has one — int8 quantized
   // embeddings for cosine, packed type bitsets for small-vocabulary
   // Jaccard. An explicit request the similarity cannot serve falls back
@@ -171,7 +173,10 @@ struct SearchStats {
   // 1 - candidates/corpus when a prefilter ran, else 0.
   double search_space_reduction = 0.0;
   // Query-scoped cache effectiveness (all zero when caching is disabled).
-  // σ pair lookups served from / added to the SimilarityMemo:
+  // σ pairs served from the query's σ table / computed by the base σ for
+  // it (the table's fills, plus pairs whose target is outside the
+  // vocabulary). Both stay zero when the query's candidates are too few
+  // for the table to fill rows; a fused batch's fills count for no query.
   size_t sim_cache_hits = 0;
   size_t sim_cache_misses = 0;
   // Hungarian mappings reused via the column-signature cache / solved fresh:
@@ -294,8 +299,8 @@ class SearchEngine {
   // work of entities shared by several queries is paid once — see
   // SearchStats::bound_fused_reuses), then each query runs the existing
   // exact bound-descending rerank against its own top-k and the shared
-  // score floor, with a batch-scoped σ memo shared across queries when
-  // caching is enabled. Rankings and every deterministic stats field are
+  // score floor, with one σ table over the batch's entity union shared by
+  // the bound pass and every rerank when caching is enabled. Rankings and every deterministic stats field are
   // bit-identical to calling Search(queries[q]) per query, for every shard
   // count, bound backend, and cache setting — the fused pass only changes
   // WHEN bounds are computed, never their values (per-(entity, slice)
@@ -303,8 +308,7 @@ class SearchEngine {
   // kernels are bit-identical per pair to the one-query kernels). Exactly
   // this contract is what the batch-fusion parity sweep asserts.
   //
-  // Serial within the batch (the shared memo is single-threaded);
-  // QueryExecutor parallelizes ACROSS batches. Per-query bound_seconds is
+  // Serial within the batch; QueryExecutor parallelizes ACROSS batches. Per-query bound_seconds is
   // 0 in fused mode: the batch's bound cost is recorded once, against the
   // batch (obs fused_bound span / RecordFusedBatch).
   std::vector<std::vector<SearchHit>> SearchBatchFused(
@@ -350,12 +354,23 @@ class SearchEngine {
       std::span<const Query> queries) const;
 
  private:
-  // Shared implementation of ScoreTable/Explain; `explanation` and `cache`
-  // may be null. With a cache, σ scores and Hungarian mappings are memoized
-  // query-wide; the results are bit-identical either way.
+  // Shared implementation of ScoreTable/Explain and the rerank;
+  // `explanation` and `cache` may be null. σ comes from `sigma`; with a
+  // cache, Hungarian mappings are reused query-wide. The results are
+  // bit-identical either way.
   double ScoreTableImpl(const Query& query, TableId table,
                         double* mapping_seconds, Explanation* explanation,
+                        const SigmaReader& sigma,
                         QueryScopedCache* cache) const;
+
+  // The σ table of a query (or a fused batch) with distinct `entities`
+  // over `candidates`: rows when caching is enabled and the candidates'
+  // distinct-entity unions add up to at least the vocabulary size (the
+  // pass then serves each entity at least as many pairs as a row costs),
+  // else none. Rows are filled on `pool` when it is non-null.
+  QuerySigmaTable SigmaTableFor(std::vector<EntityId> entities,
+                                std::span<const TableId> candidates,
+                                ThreadPool* pool = nullptr) const;
 
   // The driver behind every search entry point: drops tombstoned
   // candidates, splits the rest into partitions (one for serial search,
@@ -368,13 +383,14 @@ class SearchEngine {
   // once from there, so the registry never sees a total that excludes
   // prefilter time. SearchBatchFused injects its fused bound pass: the
   // query's dense per-TableId bounds in `fused_bounds` (its partitions
-  // then compute none) and the batch-scoped σ memo in `batch_memo`; both
-  // are null for per-query execution.
+  // then compute none) and the batch's σ table in `batch_sigma`; both are
+  // null for per-query execution, which builds its own table before the
+  // partitions fork.
   std::vector<SearchHit> SearchCandidatesImpl(
       const Query& query, const std::vector<TableId>& candidates,
       ThreadPool* pool, SearchStats* stats, bool flush_stats,
       const std::vector<double>* fused_bounds = nullptr,
-      SimilarityMemo* batch_memo = nullptr) const;
+      const QuerySigmaTable* batch_sigma = nullptr) const;
 
   // The one bound-and-prune kernel: bounds one partition's candidates,
   // sorts them bound descending and scores them until a bound proves the
@@ -384,11 +400,12 @@ class SearchEngine {
   void PrunePartition(const Query& query, PruneQuery& q,
                       SharedScoreFloor* floor, PartitionLocal* local) const;
 
-  // Phases A and B of SearchBatchFused: the batch's entity union, then one
-  // table-major walk of every shard's arena that bounds every query of the
-  // batch. σ probes go through `shared_memo` when it is non-null.
+  // Phases A and B of SearchBatchFused: per-query bound contexts over the
+  // batch's entity union (the entities of `sigma`), then one table-major
+  // walk of every shard's arena that bounds every query of the batch, σ
+  // read from `sigma`.
   void FusedBoundPass(std::span<const Query> queries,
-                      SimilarityMemo* shared_memo, FusedBounds* out) const;
+                      const QuerySigmaTable& sigma, FusedBounds* out) const;
 
   // The immutable 0..corpus-1 identity list backing Search/SearchParallel
   // (no per-query O(corpus) allocation). Falls back to materializing a
@@ -416,6 +433,9 @@ class SearchEngine {
   FlatArray<uint32_t> shard_entity_classes_;
   // Identity candidate list for full-corpus searches, sized at build time.
   std::vector<TableId> all_tables_;
+  // The lake vocabulary at construction, over which query σ tables hold
+  // their rows.
+  SigmaVocabulary vocab_;
 
   friend class PrefilteredSearchEngine;
 };

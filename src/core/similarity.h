@@ -77,19 +77,7 @@ class EntitySimilarity {
   // when one exists) and SearchStats reporting key off this.
   virtual const char* CompressedBoundBackend() const { return ""; }
 
-  // True when batched scoring through this similarity is cheaper than a
-  // memo probe per pair (e.g. one AVX2 dot over pre-normalized rows).
-  // SimilarityMemo forwards batches straight to the base similarity in
-  // that case instead of memoizing.
-  virtual bool PrefersDirectBatch() const { return false; }
-
-  // Exclusive upper bound of the dense entity-id space this σ can score
-  // (every id in [0, NumEntities()) must be a valid argument), or 0 when
-  // unknown. SimilarityMemo uses it to switch a hot query entity to a
-  // dense precomputed score row once enough pairs have been served.
-  virtual size_t NumEntities() const { return 0; }
-
-  // σ-equivalence classes: a vector `cls` of NumEntities() class ids such
+  // σ-equivalence classes: a vector `cls` of class ids, one per entity, such
   // that cls[a] == cls[b] guarantees Score(a, x) is bit-identical to
   // Score(b, x) for every x outside {a, b} — i.e. a and b are
   // interchangeable as *third parties* (the identity pairs σ(a, a) = 1
@@ -145,7 +133,8 @@ class TypeJaccardSimilarity : public EntitySimilarity {
   const char* CompressedBoundBackend() const override {
     return has_bitset() ? "bitset" : "";
   }
-  size_t NumEntities() const override { return offsets_.size() - 1; }
+  // Number of entities the CSR covers (ids [0, NumEntities())).
+  size_t NumEntities() const { return offsets_.size() - 1; }
   // Jaccard* of distinct entities depends only on the two expanded type
   // sets, so entities with identical set content are interchangeable:
   // classes intern the CSR spans. On realistic lakes many entities share a
@@ -236,9 +225,6 @@ class EmbeddingCosineSimilarity : public EntitySimilarity {
                             const EntityId* targets, size_t count,
                             double* out) const override;
   const char* CompressedBoundBackend() const override { return "int8"; }
-  // A dim-length dot over pre-normalized rows beats a hash probe per pair.
-  bool PrefersDirectBatch() const override { return true; }
-  size_t NumEntities() const override { return store_->size(); }
   std::string name() const override { return "embeddings"; }
 
   // The borrowed store, exposed for the snapshot writer.

@@ -53,10 +53,10 @@ std::vector<QueryResult> QueryExecutor::ExecuteBatch(
   std::vector<QueryResult> results(queries.size());
   if (batch_size_ > 1 && fuse_ && lsei_ == nullptr) {
     // Fused path: consecutive groups of batch_size_ queries, one
-    // SearchBatchFused call per group. A group is strictly serial inside
-    // (its shared σ memo is unsynchronized), so the parallelism unit is
-    // the group; per-query stats come back exact, with the group's bound
-    // cost attributed to the batch rather than double-counted per query.
+    // SearchBatchFused call per group. A group is strictly serial inside,
+    // so the parallelism unit is the group; per-query stats come back
+    // exact, with the group's bound cost attributed to the batch rather
+    // than double-counted per query.
     const size_t num_groups = (queries.size() + batch_size_ - 1) / batch_size_;
     pool_->ParallelFor(num_groups, [&](size_t g) {
       const size_t begin = g * batch_size_;

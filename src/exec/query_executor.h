@@ -29,7 +29,7 @@ Status StatusFromStats(const SearchStats& stats);
 // SearchEngine API. A production deployment answers many queries against
 // one lake, so the natural unit of parallelism is the query, not the table:
 // each query runs the serial engine path on one worker with its own
-// query-scoped cache (σ memo + mapping signature cache), which keeps caches
+// query-scoped caches (σ table + mapping signature cache), which keeps them
 // lock-free and results identical to SearchEngine::Search /
 // PrefilteredSearchEngine::Search query by query.
 //
@@ -47,7 +47,7 @@ class QueryExecutor {
   // Batch-fused execution: ExecuteBatch cuts the input into consecutive
   // groups of `batch_size` queries and runs each group through ONE
   // SearchEngine::SearchBatchFused call (one table-major bound pass + one
-  // shared σ memo per group), parallelizing ACROSS groups. 1 (the default)
+  // σ table per group), parallelizing ACROSS groups. 1 (the default)
   // keeps the legacy one-query-per-worker path. Fusion only restructures
   // WHEN bounds are computed — rankings and deterministic stats are
   // bit-identical to batch_size 1 (the parity sweep asserts this).

@@ -8,7 +8,8 @@
 //    compute + ordered merge). These tests assert equality outright.
 //  * statistical — Hogwild SGNS races by design and is only required to
 //    reach the same ranking quality as serial training. That test compares
-//    NDCG within a tolerance, never bits.
+//    the median NDCG of five Hogwild runs with serial training's
+//    within a tolerance, never bits.
 //
 // The Hogwild test also runs under ThreadSanitizer in CI: the intended
 // races live in annotated (no_sanitize) scalar kernels inside skipgram.cc,
@@ -16,6 +17,7 @@
 // clock, and the pool — any report from this binary is a real bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -142,32 +144,43 @@ TEST_F(BuildParallelTest, HogwildSgnsPreservesRankingQuality) {
   sg.seed = 22;
   EmbeddingStore serial =
       TrainEntityEmbeddings(bench_->kg.kg, walks, sg);
+  EmbeddingCosineSimilarity serial_sim(&serial);
+  SearchEngine serial_engine(lake_, &serial_sim);
+
+  std::vector<RelevanceJudgments> truth;
+  for (const auto& gq : *queries_) {
+    truth.push_back(ComputeGroundTruth(bench_->kg, bench_->lake, gq.query));
+  }
+  auto mean_ndcg = [&](const SearchEngine& engine) {
+    double total = 0.0;
+    for (size_t q = 0; q < queries_->size(); ++q) {
+      total += NdcgAtK(HitTables(engine.Search((*queries_)[q].query)),
+                       truth[q].relevance, 10);
+    }
+    return total / static_cast<double>(queries_->size());
+  };
+  const double serial_ndcg = mean_ndcg(serial_engine);
+
+  // One Hogwild run lands anywhere in a spread set by how its threads
+  // interleave, so the quality compared is the median over five runs
+  // seeded like the serial one.
   sg.num_threads = 4;
   sg.parallel_mode = SgnsParallelMode::kHogwild;
-  EmbeddingStore hogwild =
-      TrainEntityEmbeddings(bench_->kg.kg, walks, sg);
-
-  EmbeddingCosineSimilarity serial_sim(&serial);
-  EmbeddingCosineSimilarity hogwild_sim(&hogwild);
-  SearchEngine serial_engine(lake_, &serial_sim);
-  SearchEngine hogwild_engine(lake_, &hogwild_sim);
-
-  double serial_total = 0.0;
-  double hogwild_total = 0.0;
-  for (const auto& gq : *queries_) {
-    RelevanceJudgments gt =
-        ComputeGroundTruth(bench_->kg, bench_->lake, gq.query);
-    serial_total +=
-        NdcgAtK(HitTables(serial_engine.Search(gq.query)), gt.relevance, 10);
-    hogwild_total +=
-        NdcgAtK(HitTables(hogwild_engine.Search(gq.query)), gt.relevance, 10);
+  std::vector<double> hogwild_ndcg;
+  for (int run = 0; run < 5; ++run) {
+    EmbeddingStore hogwild =
+        TrainEntityEmbeddings(bench_->kg.kg, walks, sg);
+    EmbeddingCosineSimilarity hogwild_sim(&hogwild);
+    SearchEngine hogwild_engine(lake_, &hogwild_sim);
+    hogwild_ndcg.push_back(mean_ndcg(hogwild_engine));
   }
-  double n = static_cast<double>(queries_->size());
+  std::sort(hogwild_ndcg.begin(), hogwild_ndcg.end());
+  const double median = hogwild_ndcg[hogwild_ndcg.size() / 2];
   // Sparse-gradient collisions perturb individual vectors, not the overall
-  // geometry; mean NDCG must track the serial trainer's closely, and both
-  // must be well above the random-ranking floor.
-  EXPECT_NEAR(hogwild_total / n, serial_total / n, 0.15);
-  EXPECT_GT(hogwild_total / n, 0.45);
+  // geometry; the median NDCG must track the serial trainer's closely, and
+  // both must be well above the random-ranking floor.
+  EXPECT_NEAR(median, serial_ndcg, 0.15);
+  EXPECT_GT(median, 0.45);
 }
 
 TEST_F(BuildParallelTest, LseiParallelBuildMatchesSerial) {

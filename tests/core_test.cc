@@ -448,12 +448,15 @@ TEST(QueryTest, DistinctEntities) {
 TEST(QueryCacheTest, MappingForMatchesUncachedMapping) {
   EngineFixture f;
   TypeJaccardSimilarity sim(&f.kg);
-  QueryScopedCache cache(&sim);
+  QueryScopedCache cache;
+  const SigmaVocabulary vocab;
+  const QuerySigmaTable table(&sim, &vocab, {}, 0);  // no rows: base σ
+  const SigmaReader sigma(&table);
   std::vector<EntityId> tq = {f.stetter, f.brewers};
   for (TableId id = 0; id < f.corpus.size(); ++id) {
     const Table& t = f.corpus.table(id);
     ColumnMapping want = MapQueryTupleToColumns(tq, t, sim);
-    const ColumnMapping& got = cache.MappingFor(0, tq, t, id);
+    const ColumnMapping& got = cache.MappingFor(0, tq, t, id, sigma);
     EXPECT_EQ(got.column_of_entity, want.column_of_entity) << "table " << id;
     EXPECT_EQ(got.total_score, want.total_score) << "table " << id;
   }
@@ -462,7 +465,7 @@ TEST(QueryCacheTest, MappingForMatchesUncachedMapping) {
   EXPECT_EQ(cache.mapping_hits(), 0u);
   // Asking again is pure cache hits.
   for (TableId id = 0; id < f.corpus.size(); ++id) {
-    cache.MappingFor(0, tq, f.corpus.table(id), id);
+    cache.MappingFor(0, tq, f.corpus.table(id), id, sigma);
   }
   EXPECT_EQ(cache.mapping_hits(), f.corpus.size());
 }
@@ -475,17 +478,20 @@ TEST(QueryCacheTest, IdenticalContentTablesShareOneMapping) {
   clone.set_name("bb_clone");
   TableId clone_id = f.corpus.AddTable(std::move(clone)).value();
   TypeJaccardSimilarity sim(&f.kg);
-  QueryScopedCache cache(&sim);
+  QueryScopedCache cache;
+  const SigmaVocabulary vocab;
+  const QuerySigmaTable table(&sim, &vocab, {}, 0);  // no rows: base σ
+  const SigmaReader sigma(&table);
   std::vector<EntityId> tq = {f.santo, f.cubs};
-  const ColumnMapping& first =
-      cache.MappingFor(0, tq, f.corpus.table(f.baseball_id), f.baseball_id);
+  const ColumnMapping& first = cache.MappingFor(
+      0, tq, f.corpus.table(f.baseball_id), f.baseball_id, sigma);
   const ColumnMapping& second =
-      cache.MappingFor(0, tq, f.corpus.table(clone_id), clone_id);
+      cache.MappingFor(0, tq, f.corpus.table(clone_id), clone_id, sigma);
   EXPECT_EQ(cache.mapping_misses(), 1u);
   EXPECT_EQ(cache.mapping_hits(), 1u);
   EXPECT_EQ(&first, &second);
   // Different tuple index: solved separately even for the same signature.
-  cache.MappingFor(1, tq, f.corpus.table(clone_id), clone_id);
+  cache.MappingFor(1, tq, f.corpus.table(clone_id), clone_id, sigma);
   EXPECT_EQ(cache.mapping_misses(), 2u);
 }
 

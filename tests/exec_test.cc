@@ -950,6 +950,102 @@ TEST(SearchStatsInvariantTest, ScoredPlusPrunedIsCandidatesInEveryMode) {
   EXPECT_GT(total_pruned, 0u);
 }
 
+// --- The query σ table -------------------------------------------------------------
+
+// The σ table is built once per query, before the partitions fork: a
+// 4-shard search on a 3-thread pool fills each distinct query entity's row
+// exactly once (|entities| × V base σ evaluations, V the lake
+// vocabulary), not once per partition, and ranks exactly like the serial
+// and the uncached engine. Every cell entity is in the vocabulary, so
+// nothing else reaches the base σ.
+TEST(SigmaTableTest, PooledShardsFillEachRowOnce) {
+  ExecutorFixture f(406, 8);
+  const size_t vocab = f.lake.MentionedEntities().size();
+  SearchOptions options;
+  options.num_shards = 4;
+  SearchEngine engine(&f.lake, &f.sim, options);
+  SearchOptions uncached_options = options;
+  uncached_options.enable_cache = false;
+  SearchEngine uncached(&f.lake, &f.sim, uncached_options);
+  ThreadPool pool(3);
+  for (size_t q = 0; q < f.queries.size(); ++q) {
+    const std::string label = "query " + std::to_string(q);
+    const size_t entities = f.queries[q].DistinctEntities().size();
+    SearchStats stats;
+    auto pooled = engine.SearchParallel(f.queries[q], &pool, &stats);
+    EXPECT_EQ(stats.sim_cache_misses, entities * vocab) << label;
+    EXPECT_GT(stats.sim_cache_hits, 0u) << label;
+    SearchStats serial_stats;
+    ExpectSameHits(engine.Search(f.queries[q], &serial_stats), pooled,
+                   label + " serial");
+    EXPECT_EQ(serial_stats.sim_cache_misses, entities * vocab) << label;
+    ExpectSameHits(uncached.SearchParallel(f.queries[q], &pool), pooled,
+                   label + " uncached");
+  }
+}
+
+// The rows are filled exactly when the candidates' distinct-entity unions
+// add up to at least the vocabulary size. Each entity of this lake sits in
+// one column of one table, so all tables add up to exactly V (rows) and
+// any proper subset to less (no rows, σ straight from the base); the
+// rankings are the uncached engine's either way.
+TEST(SigmaTableTest, RowsFilledExactlyWhenCandidatesCoverVocabulary) {
+  KnowledgeGraph kg;
+  Taxonomy* tax = kg.mutable_taxonomy();
+  const TypeId thing = tax->AddType("Thing").value();
+  const TypeId person = tax->AddType("Person", thing).value();
+  const TypeId club = tax->AddType("Club", thing).value();
+  std::vector<EntityId> e;
+  for (int i = 0; i < 6; ++i) {
+    e.push_back(kg.AddEntity("e" + std::to_string(i)).value());
+    EXPECT_TRUE(kg.AddEntityType(e.back(), i % 2 == 0 ? person : club).ok());
+  }
+  auto add_row = [](Table& table, EntityId a, EntityId b) {
+    EXPECT_TRUE(
+        table.AppendRow({Value::String("a"), Value::String("b")}, {a, b})
+            .ok());
+  };
+  Table t0("t0", {"P", "C"});
+  add_row(t0, e[0], e[1]);
+  add_row(t0, e[0], e[1]);
+  Table t1("t1", {"P", "C"});
+  add_row(t1, e[2], e[3]);
+  Table t2("t2", {"P", "C"});
+  add_row(t2, e[4], e[5]);
+  Corpus corpus;
+  for (Table* t : {&t0, &t1, &t2}) {
+    EXPECT_TRUE(corpus.AddTable(std::move(*t)).ok());
+  }
+  SemanticDataLake lake(&corpus, &kg);
+  ASSERT_EQ(lake.MentionedEntities().size(), 6u);
+  TypeJaccardSimilarity sim(&kg);
+  SearchEngine engine(&lake, &sim);
+  SearchOptions uncached_options;
+  uncached_options.enable_cache = false;
+  SearchEngine uncached(&lake, &sim, uncached_options);
+  const Query query{{{e[0], e[3]}, {e[4]}}};
+
+  SearchStats stats;
+  const std::vector<TableId> all = {0, 1, 2};
+  auto hits = engine.SearchCandidates(query, all, &stats);
+  ExpectSameHits(uncached.SearchCandidates(query, all), hits, "all tables");
+  EXPECT_EQ(stats.sim_cache_misses, 3u * 6u);
+  EXPECT_GT(stats.sim_cache_hits, 0u);
+  for (const std::vector<TableId>& subset :
+       {std::vector<TableId>{0, 1}, std::vector<TableId>{1, 2},
+        std::vector<TableId>{0}}) {
+    const std::string label = "subset of " + std::to_string(subset.size());
+    hits = engine.SearchCandidates(query, subset, &stats);
+    ExpectSameHits(uncached.SearchCandidates(query, subset), hits, label);
+    EXPECT_EQ(stats.sim_cache_misses, 0u) << label;
+    EXPECT_EQ(stats.sim_cache_hits, 0u) << label;
+  }
+  for (TableId id : all) {
+    EXPECT_EQ(engine.ScoreTable(query, id), uncached.ScoreTable(query, id))
+        << "table " << id;
+  }
+}
+
 // Every execution mode honours SearchOptions::deadline_seconds all or
 // nothing: an already-expired budget returns no hits and flags the query,
 // and a budget that cannot expire returns exactly the unbudgeted ranking.

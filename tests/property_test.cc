@@ -7,13 +7,16 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "assignment/hungarian.h"
 #include "benchgen/metrics.h"
+#include "core/extended_similarity.h"
 #include "core/semrel.h"
+#include "core/sigma_table.h"
 #include "core/similarity.h"
-#include "core/similarity_memo.h"
+#include "embedding/embedding_store.h"
 #include "lsh/band_index.h"
 #include "lsh/hyperplane.h"
 #include "lsh/minhash.h"
@@ -235,63 +238,111 @@ TEST_P(SemRelAxiomSweep, SigmaIsSymmetricBoundedIdentityOne) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SemRelAxiomSweep,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// --- SimilarityMemo is exact, not approximate ---------------------------------------
+// --- The query σ table is exact, not approximate ----------------------------------
 
-class SimilarityMemoSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(SimilarityMemoSweep, ScoreEqualsWrappedSimilarityExactly) {
-  KnowledgeGraph kg = RandomTypedKg(GetParam() + 500, 32);
-  TypeJaccardSimilarity base(&kg);
-  // Tiny initial capacity so random pairs force several table growths.
-  SimilarityMemo memo(&base, /*expected_pairs=*/4);
-  Rng rng(GetParam() * 53 + 3);
-  for (int trial = 0; trial < 500; ++trial) {
-    EntityId a = rng.NextBounded(32);
-    EntityId b = rng.NextBounded(32);
-    double want = base.Score(a, b);
-    // Bit-exact on the filling call and on the cached call.
-    EXPECT_EQ(memo.Score(a, b), want) << "pair (" << a << ", " << b << ")";
-    EXPECT_EQ(memo.Score(a, b), want) << "pair (" << a << ", " << b << ")";
+// Serves every (table entity, target) pair through a SigmaReader — one
+// batch per entity and one multi-query batch — on tables offered one pair
+// short of the vocabulary size, exactly the vocabulary size and more, and
+// checks each value against the base Score bit for bit. About half of the
+// n entities are in the vocabulary, and the table's entities include ones
+// outside it, so the out-of-vocabulary fallback is exercised on both
+// sides of the pair.
+void ExpectSigmaTableExact(const EntitySimilarity& base, size_t n,
+                           uint64_t seed) {
+  Rng rng(seed);
+  std::vector<EntityId> vocab_ids;
+  std::vector<EntityId> entities;
+  for (EntityId e = 0; e < n; ++e) {
+    if (rng.NextBounded(2) == 0) vocab_ids.push_back(e);
+    if (rng.NextBounded(4) == 0) entities.push_back(e);
   }
-  EXPECT_GT(memo.hits(), 0u);
-  EXPECT_GT(memo.misses(), 0u);
-  EXPECT_EQ(memo.hits() + memo.misses(), 1000u);
-  // One stored slot per distinct pair ever missed.
-  EXPECT_EQ(memo.size(), memo.misses());
-  EXPECT_LE(memo.size(), 32u * 32u);
+  ASSERT_FALSE(vocab_ids.empty());
+  ASSERT_FALSE(entities.empty());
+  const SigmaVocabulary vocab(vocab_ids);
+  const size_t v = vocab.size();
+  std::vector<EntityId> targets(n);
+  for (EntityId e = 0; e < n; ++e) targets[e] = e;
+  // An entity the table holds no row for.
+  EntityId outsider = 0;
+  while (std::binary_search(entities.begin(), entities.end(), outsider)) {
+    ++outsider;
+  }
+  ASSERT_LT(outsider, n);
+
+  for (size_t pairs : {size_t{0}, v - 1, v, v + 1}) {
+    const std::string label =
+        base.name() + " pairs " + std::to_string(pairs) + " of " +
+        std::to_string(v);
+    const QuerySigmaTable table(&base, &vocab, entities, pairs);
+    const bool built = pairs >= v;
+    EXPECT_EQ(table.built(), built) << label;
+    EXPECT_EQ(table.entities(), entities) << label;
+    EXPECT_EQ(table.fills(), built ? entities.size() * v : 0u) << label;
+    SigmaReader reader(&table);
+    std::vector<double> got(n);
+    for (EntityId q : entities) {
+      reader.ScoreBatch(q, targets.data(), n, got.data());
+      for (EntityId t = 0; t < n; ++t) {
+        EXPECT_EQ(got[t], base.Score(q, t))
+            << label << " pair (" << q << ", " << t << ")";
+      }
+    }
+    std::vector<double> multi(entities.size() * n);
+    reader.ScoreBatchMulti(entities.data(), entities.size(), targets.data(), n,
+                           multi.data());
+    for (size_t j = 0; j < entities.size(); ++j) {
+      for (EntityId t = 0; t < n; ++t) {
+        EXPECT_EQ(multi[j * n + t], base.Score(entities[j], t))
+            << label << " multi pair (" << entities[j] << ", " << t << ")";
+      }
+    }
+    // Both passes served every pair: in-vocabulary targets from the rows,
+    // the rest from the base σ. Without rows nothing is counted.
+    const size_t passes = 2 * entities.size();
+    EXPECT_EQ(reader.hits(), built ? passes * v : 0u) << label;
+    EXPECT_EQ(reader.misses(), built ? passes * (n - v) : 0u) << label;
+    // A query entity without a row goes to the base σ, uncounted.
+    const size_t hits_before = reader.hits();
+    reader.ScoreBatch(outsider, targets.data(), n, got.data());
+    for (EntityId t = 0; t < n; ++t) {
+      EXPECT_EQ(got[t], base.Score(outsider, t)) << label << " outsider";
+    }
+    EXPECT_EQ(reader.hits(), hits_before) << label;
+  }
 }
 
-TEST_P(SimilarityMemoSweep, IdentityPreservedThroughCache) {
-  KnowledgeGraph kg = RandomTypedKg(GetParam() + 600, 32);
+class SigmaTableSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(SigmaTableSweep, TypeJaccardValuesEqualBaseScoreExactly) {
+  KnowledgeGraph kg = RandomTypedKg(GetParam() + 500, 40);
   TypeJaccardSimilarity base(&kg);
-  SimilarityMemo memo(&base);
-  for (EntityId e = 0; e < 32; ++e) {
-    // σ(e, e) == 1 both when computed and when served from the cache.
-    EXPECT_DOUBLE_EQ(memo.Score(e, e), 1.0);
-    EXPECT_DOUBLE_EQ(memo.Score(e, e), 1.0);
-  }
+  ExpectSigmaTableExact(base, 40, GetParam() * 53 + 3);
 }
 
-TEST_P(SimilarityMemoSweep, ClearResetsStateButNotExactness) {
-  KnowledgeGraph kg = RandomTypedKg(GetParam() + 700, 16);
-  TypeJaccardSimilarity base(&kg);
-  SimilarityMemo memo(&base);
-  Rng rng(GetParam() * 59 + 9);
-  for (int trial = 0; trial < 50; ++trial) {
-    memo.Score(rng.NextBounded(16), rng.NextBounded(16));
-  }
-  memo.Clear();
-  EXPECT_EQ(memo.size(), 0u);
-  EXPECT_EQ(memo.hits(), 0u);
-  EXPECT_EQ(memo.misses(), 0u);
-  for (EntityId a = 0; a < 16; ++a) {
-    for (EntityId b = 0; b < 16; ++b) {
-      EXPECT_EQ(memo.Score(a, b), base.Score(a, b));
+TEST_P(SigmaTableSweep, EmbeddingCosineValuesEqualBaseScoreExactly) {
+  constexpr size_t kEntities = 40;
+  EmbeddingStore store(kEntities, 8);
+  Rng rng(GetParam() * 61 + 7);
+  for (EntityId e = 0; e < kEntities; ++e) {
+    float* row = store.mutable_vector(e);
+    for (size_t d = 0; d < 8; ++d) {
+      row[d] = static_cast<float>(rng.NextDouble()) - 0.5f;
     }
   }
+  store.NormalizeAll();
+  EmbeddingCosineSimilarity base(&store);
+  ExpectSigmaTableExact(base, kEntities, GetParam() * 67 + 11);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SimilarityMemoSweep,
+// Wu-Palmer over the taxonomy has no dense entity-id space of its own
+// (nothing like the type CSR or the embedding rows); the table needs none.
+TEST_P(SigmaTableSweep, WuPalmerValuesEqualBaseScoreExactly) {
+  KnowledgeGraph kg = RandomTypedKg(GetParam() + 600, 40);
+  WuPalmerSimilarity base(&kg);
+  ExpectSigmaTableExact(base, 40, GetParam() * 59 + 9);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SigmaTableSweep,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // --- DistanceSimilarity properties across dimensionality ---------------------------
