@@ -128,7 +128,7 @@ TableSignatureIndex BuildTableSignatureIndex(
 }
 
 TableSignatureIndex BuildTableSignatureIndexRange(
-    const Corpus& corpus, std::span<const uint32_t> entity_classes,
+    std::span<const uint32_t> entity_classes,
     const CorpusColumnArena& shard_arena, TableId begin, TableId end) {
   TableSignatureIndex index;
   index.entity_classes =

@@ -80,7 +80,7 @@ TableSignatureIndex BuildTableSignatureIndex(
 // must outlive the index. Interning is serial in table-id order within the
 // shard, so ids and num_distinct are pure functions of the range content.
 TableSignatureIndex BuildTableSignatureIndexRange(
-    const Corpus& corpus, std::span<const uint32_t> entity_classes,
+    std::span<const uint32_t> entity_classes,
     const CorpusColumnArena& shard_arena, TableId begin, TableId end);
 
 // Query-scoped Hungarian mapping cache: two tables with σ-equivalent

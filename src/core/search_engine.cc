@@ -103,8 +103,7 @@ SearchEngine::SearchEngine(const SemanticDataLake* lake,
       shard.arena.BuildRange(corpus, shard.begin, shard.end);
       if (options_.enable_cache) {
         shard.signatures = BuildTableSignatureIndexRange(
-            corpus, shard_entity_classes_.span(), shard.arena, shard.begin,
-            shard.end);
+            shard_entity_classes_.span(), shard.arena, shard.begin, shard.end);
       }
     });
     shard_bounds_ = plan.bounds;

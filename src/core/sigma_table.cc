@@ -50,12 +50,17 @@ void SigmaReader::ScoreBatchMulti(const EntityId* qs, size_t nq,
     table_->base().ScoreBatchMulti(qs, nq, targets, count, out);
     return;
   }
+  if (!std::equal(qs, qs + nq, row_entities_.begin(), row_entities_.end())) {
+    row_entities_.assign(qs, qs + nq);
+    rows_.resize(nq);
+    for (size_t j = 0; j < nq; ++j) rows_[j] = table_->RowOf(qs[j]);
+  }
   // One slot lookup per target serves every query entity's gather.
   const SigmaVocabulary& vocab = table_->vocab();
   slots_.resize(count);
   for (size_t k = 0; k < count; ++k) slots_[k] = vocab.SlotOf(targets[k]);
   for (size_t j = 0; j < nq; ++j) {
-    const double* row = table_->RowOf(qs[j]);
+    const double* row = rows_[j];
     double* o = out + j * count;
     if (row == nullptr) {
       table_->base().ScoreBatch(qs[j], targets, count, o);

@@ -109,7 +109,9 @@ class SigmaReader {
 
   // out[j * count + k] = σ(qs[j], targets[k]), the layout of
   // EntitySimilarity::ScoreBatchMulti; without rows the base's multi-query
-  // kernel runs.
+  // kernel runs. The rows of `qs` are looked up once and reused while
+  // later calls pass the same entity list (a bound context's, for every
+  // table of the partition).
   void ScoreBatchMulti(const EntityId* qs, size_t nq, const EntityId* targets,
                        size_t count, double* out) const;
 
@@ -126,6 +128,9 @@ class SigmaReader {
   mutable size_t misses_ = 0;
   // Vocabulary slots of one ScoreBatchMulti target list.
   mutable std::vector<uint32_t> slots_;
+  // The last ScoreBatchMulti entity list and its rows (null: no row).
+  mutable std::vector<EntityId> row_entities_;
+  mutable std::vector<const double*> rows_;
 };
 
 }  // namespace thetis

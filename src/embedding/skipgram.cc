@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "embedding/vector_ops.h"
+#include "embedding/negative_sampler.h"
 #include "obs/query_metrics.h"
 #include "obs/trace.h"
 #include "simd/kernels.h"
@@ -17,9 +17,9 @@
 // Benign-race annotation for the Hogwild update kernels (see DESIGN.md,
 // "Parallel offline build"). Hogwild training races by design: concurrent
 // unsynchronized float reads/writes to the shared syn0/syn1neg matrices.
-// Those races are confined to the three Hogwild* helpers below, which are
-// excluded from ThreadSanitizer instrumentation so the TSan CI leg can run
-// the Hogwild path and still catch every *unintended* race elsewhere
+// Those races are confined to the HogwildKernels functions below, which
+// are excluded from ThreadSanitizer instrumentation so the TSan CI leg can
+// run the Hogwild path and still catch every *unintended* race elsewhere
 // (sharding, LR schedule, scratch buffers, the pool itself).
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -60,65 +60,92 @@ class SigmoidTable {
   double table_[kSize];
 };
 
-// Cumulative unigram^power sampler for negatives; O(log V) per draw.
-class NegativeSampler {
- public:
-  NegativeSampler(const std::vector<uint64_t>& counts, double power) {
-    cumulative_.reserve(counts.size());
-    double acc = 0.0;
-    for (uint64_t c : counts) {
-      acc += std::pow(static_cast<double>(c), power);
-      cumulative_.push_back(acc);
-    }
-    total_ = acc;
+// The deterministic loop's kernels: the dispatched SIMD tier, so the
+// serial trainer is bit-identical within a tier.
+struct SerialKernels {
+  static double Dot(const float* a, const float* b, size_t n) {
+    return simd::Dot(a, b, n);
   }
-
-  WalkToken Sample(Rng* rng) const {
-    double r = rng->NextDouble() * total_;
-    size_t lo = 0;
-    size_t hi = cumulative_.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (cumulative_[mid] <= r) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return static_cast<WalkToken>(lo < cumulative_.size() ? lo
-                                                          : cumulative_.size() - 1);
+  static void AxpyPair(float g, const float* x, float* y, float* acc,
+                       size_t n) {
+    simd::AxpyPair(g, x, y, acc, n);
   }
-
- private:
-  std::vector<double> cumulative_;
-  double total_ = 0.0;
+  static void Add(float* acc, const float* x, size_t n) {
+    simd::Add(acc, x, n);
+  }
 };
 
-// --- Hogwild kernels -------------------------------------------------------
-//
-// Plain scalar loops (auto-vectorized; dim is 32 in practice) rather than
-// the simd:: dispatch kernels: the no_sanitize attribute does not propagate
-// through the kernel function pointers, so the racy accesses must live in
-// these bodies for the TSan exclusion to cover them. Every racy load/store
-// of shared training state goes through exactly these three functions.
+// The Hogwild loop's kernels: plain scalar loops (auto-vectorized; dim is
+// 32 in practice) rather than the simd:: dispatch kernels, because the
+// no_sanitize attribute does not propagate through the kernel function
+// pointers, so the racy accesses must live in these bodies for the TSan
+// exclusion to cover them. Every racy load/store of shared training state
+// goes through exactly these three functions.
+struct HogwildKernels {
+  THETIS_NO_SANITIZE_THREAD
+  static double Dot(const float* a, const float* b, size_t n) {
+    double acc = 0.0;
+    for (size_t i = 0; i < n; ++i) acc += static_cast<double>(a[i]) * b[i];
+    return acc;
+  }
+  // acc += g * y (acc is private scratch), then y += g * x with y a shared
+  // syn1neg row: the pair update's read and write of the output row.
+  THETIS_NO_SANITIZE_THREAD
+  static void AxpyPair(float g, const float* x, float* y, float* acc,
+                       size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      acc[i] += g * y[i];
+      y[i] += g * x[i];
+    }
+  }
+  // acc += x with acc a shared syn0 row.
+  THETIS_NO_SANITIZE_THREAD
+  static void Add(float* acc, const float* x, size_t n) {
+    for (size_t i = 0; i < n; ++i) acc[i] += x[i];
+  }
+};
 
-THETIS_NO_SANITIZE_THREAD
-double HogwildDot(const float* a, const float* b, size_t n) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += static_cast<double>(a[i]) * b[i];
-  return acc;
-}
-
-// grad += g * v_out; reads the shared output row into private scratch.
-THETIS_NO_SANITIZE_THREAD
-void HogwildAccumulate(float g, const float* v_out, float* grad, size_t n) {
-  for (size_t i = 0; i < n; ++i) grad[i] += g * v_out[i];
-}
-
-// y += g * x with y shared (syn0 or syn1neg row); the Hogwild write.
-THETIS_NO_SANITIZE_THREAD
-void HogwildUpdate(float g, const float* x, float* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += g * x[i];
+// SGNS over one walk, shared by both schedules. Per position: next_lr()
+// gives the learning rate, a dynamic window uniform in [1, window] (as in
+// word2vec) picks the contexts, and each context trains one positive
+// target plus `negatives` sampled ones (a sample equal to the context is
+// drawn and skipped). The v_in gradient accumulates in `grad` and lands
+// after the context's last target; each target's gradient reads v_out
+// before v_out is updated. Draws do not depend on the matrices, so drawing
+// a context's negatives before its updates yields the same samples as
+// drawing each one just before its own update.
+template <typename Kernels, typename NextLr>
+void TrainWalk(const std::vector<WalkToken>& walk,
+               const SkipGramOptions& options, const NegativeSampler& sampler,
+               const SigmoidTable& sigmoid, Rng* rng, NextLr&& next_lr,
+               float* syn0, float* syn1neg, WalkToken* targets, float* grad) {
+  const size_t dim = options.dim;
+  for (size_t pos = 0; pos < walk.size(); ++pos) {
+    const double lr = next_lr();
+    size_t reduced =
+        1 + rng->NextBounded(static_cast<uint32_t>(options.window));
+    size_t lo = pos >= reduced ? pos - reduced : 0;
+    size_t hi = std::min(walk.size() - 1, pos + reduced);
+    float* v_in = syn0 + static_cast<size_t>(walk[pos]) * dim;
+    for (size_t ctx = lo; ctx <= hi; ++ctx) {
+      if (ctx == pos) continue;
+      const WalkToken context = walk[ctx];
+      size_t count = 0;
+      targets[count++] = context;
+      for (size_t n = 0; n < options.negatives; ++n) {
+        const WalkToken target = sampler.Sample(rng);
+        if (target != context) targets[count++] = target;
+      }
+      std::fill(grad, grad + dim, 0.0f);
+      for (size_t t = 0; t < count; ++t) {
+        float* v_out = syn1neg + static_cast<size_t>(targets[t]) * dim;
+        const double label = t == 0 ? 1.0 : 0.0;
+        double g = (label - sigmoid(Kernels::Dot(v_in, v_out, dim))) * lr;
+        Kernels::AxpyPair(static_cast<float>(g), v_in, v_out, grad, dim);
+      }
+      Kernels::Add(v_in, grad, dim);
+    }
+  }
 }
 
 // Token-count-balanced contiguous shard bounds: shard s covers walks
@@ -184,6 +211,16 @@ EmbeddingStore SkipGramTrainer::Train(
 
   const uint64_t total_steps =
       std::max<uint64_t>(1, total_tokens * options_.epochs);
+  auto lr_at = [&](uint64_t step) {
+    double progress =
+        static_cast<double>(step) / static_cast<double>(total_steps);
+    double lr = options_.initial_learning_rate * (1.0 - progress);
+    return lr < options_.min_learning_rate ? options_.min_learning_rate : lr;
+  };
+  // All vocab rows were just written through mutable_vector, so every row
+  // is already marked stale; the raw-pointer writes below keep the store's
+  // cache contract intact (nothing reads the caches until after training).
+  float* syn0 = input.mutable_vector(0);
 
   ThreadPool pool(options_.num_threads);
   const bool hogwild = options_.parallel_mode == SgnsParallelMode::kHogwild &&
@@ -195,52 +232,15 @@ EmbeddingStore SkipGramTrainer::Train(
     // num_threads says.
     uint64_t step = 0;
     std::vector<float> grad(dim);
+    std::vector<WalkToken> targets(options_.negatives + 1);
     for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
       obs::TraceSpan epoch_span("skipgram_epoch");
       Stopwatch epoch_watch;
       for (const auto& walk : walks) {
-        for (size_t pos = 0; pos < walk.size(); ++pos) {
-          ++step;
-          double progress =
-              static_cast<double>(step) / static_cast<double>(total_steps);
-          double lr = options_.initial_learning_rate * (1.0 - progress);
-          if (lr < options_.min_learning_rate) lr = options_.min_learning_rate;
-
-          // Dynamic window, as in word2vec: uniform in [1, window].
-          size_t reduced =
-              1 + rng.NextBounded(static_cast<uint32_t>(options_.window));
-          size_t lo = pos >= reduced ? pos - reduced : 0;
-          size_t hi = std::min(walk.size() - 1, pos + reduced);
-          WalkToken center = walk[pos];
-          float* v_in = input.mutable_vector(center);
-
-          for (size_t ctx = lo; ctx <= hi; ++ctx) {
-            if (ctx == pos) continue;
-            WalkToken context = walk[ctx];
-            std::fill(grad.begin(), grad.end(), 0.0f);
-            // One positive plus `negatives` negative samples.
-            for (size_t n = 0; n <= options_.negatives; ++n) {
-              WalkToken target;
-              double label;
-              if (n == 0) {
-                target = context;
-                label = 1.0;
-              } else {
-                target = sampler.Sample(&rng);
-                if (target == context) continue;
-                label = 0.0;
-              }
-              float* v_out = output.data() + static_cast<size_t>(target) * dim;
-              double dot = DotProduct(v_in, v_out, dim);
-              double g = (label - sigmoid(dot)) * lr;
-              // Two fused-multiply-add kernels; grad must read v_out before
-              // the v_out update, as in the original interleaved loop.
-              simd::Axpy(static_cast<float>(g), v_out, grad.data(), dim);
-              simd::Axpy(static_cast<float>(g), v_in, v_out, dim);
-            }
-            simd::Add(v_in, grad.data(), dim);
-          }
-        }
+        TrainWalk<SerialKernels>(
+            walk, options_, sampler, sigmoid, &rng,
+            [&] { return lr_at(++step); }, syn0, output.data(),
+            targets.data(), grad.data());
       }
       obs::RecordSkipgramEpoch(total_tokens, epoch_watch.ElapsedSeconds());
     }
@@ -250,8 +250,8 @@ EmbeddingStore SkipGramTrainer::Train(
   // --- Hogwild path --------------------------------------------------------
   //
   // Contiguous token-balanced walk shards train concurrently; syn0/syn1neg
-  // updates are lock-free and unsynchronized (the benign races live in the
-  // Hogwild* kernels above). The learning rate follows one shared schedule:
+  // updates are lock-free and unsynchronized (the benign races live in
+  // HogwildKernels above). The learning rate follows one shared schedule:
   // threads add their processed-token counts to an atomic global step in
   // kLrBatch chunks (word2vec updates alpha every 10k words the same way)
   // and recompute lr from the snapshot, so the decay tracks total corpus
@@ -260,10 +260,6 @@ EmbeddingStore SkipGramTrainer::Train(
   const std::vector<size_t> bounds = ShardWalks(walks, total_tokens, shards);
   std::atomic<uint64_t> global_step{0};
   constexpr uint64_t kLrBatch = 10000;
-  // All vocab rows were just written through mutable_vector, so every row
-  // is already marked stale; the raw-pointer writes below keep the store's
-  // cache contract intact (nothing reads the caches until after training).
-  float* syn0 = input.mutable_vector(0);
 
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     obs::TraceSpan epoch_span("skipgram_epoch");
@@ -274,60 +270,23 @@ EmbeddingStore SkipGramTrainer::Train(
       Rng shard_rng(MixHash64(options_.seed +
                               0x9E3779B97F4A7C15ULL * (epoch + 1)) ^
                     MixHash64(shard + 1));
+      std::vector<WalkToken> targets(options_.negatives + 1);
       std::vector<float> grad(dim);  // per-thread scratch
       uint64_t pending = 0;          // tokens not yet published to the LR clock
       uint64_t lr_base = global_step.load(std::memory_order_relaxed);
-      double lr = options_.initial_learning_rate;
-      auto refresh_lr = [&] {
-        double progress = static_cast<double>(lr_base + pending) /
-                          static_cast<double>(total_steps);
-        lr = options_.initial_learning_rate * (1.0 - progress);
-        if (lr < options_.min_learning_rate) lr = options_.min_learning_rate;
-      };
-      refresh_lr();
-      for (size_t wi = bounds[shard]; wi < bounds[shard + 1]; ++wi) {
-        const auto& walk = walks[wi];
-        for (size_t pos = 0; pos < walk.size(); ++pos) {
-          if (++pending >= kLrBatch) {
-            lr_base = global_step.fetch_add(pending,
-                                            std::memory_order_relaxed) +
-                      pending;
-            pending = 0;
-          }
-          refresh_lr();
-
-          size_t reduced =
-              1 + shard_rng.NextBounded(static_cast<uint32_t>(options_.window));
-          size_t lo = pos >= reduced ? pos - reduced : 0;
-          size_t hi = std::min(walk.size() - 1, pos + reduced);
-          WalkToken center = walk[pos];
-          float* v_in = syn0 + static_cast<size_t>(center) * dim;
-
-          for (size_t ctx = lo; ctx <= hi; ++ctx) {
-            if (ctx == pos) continue;
-            WalkToken context = walk[ctx];
-            std::fill(grad.begin(), grad.end(), 0.0f);
-            for (size_t n = 0; n <= options_.negatives; ++n) {
-              WalkToken target;
-              double label;
-              if (n == 0) {
-                target = context;
-                label = 1.0;
-              } else {
-                target = sampler.Sample(&shard_rng);
-                if (target == context) continue;
-                label = 0.0;
-              }
-              float* v_out = output.data() + static_cast<size_t>(target) * dim;
-              double dot = HogwildDot(v_in, v_out, dim);
-              double g = (label - sigmoid(dot)) * lr;
-              HogwildAccumulate(static_cast<float>(g), v_out, grad.data(),
-                                dim);
-              HogwildUpdate(static_cast<float>(g), v_in, v_out, dim);
-            }
-            HogwildUpdate(1.0f, grad.data(), v_in, dim);
-          }
+      auto next_lr = [&] {
+        if (++pending >= kLrBatch) {
+          lr_base =
+              global_step.fetch_add(pending, std::memory_order_relaxed) +
+              pending;
+          pending = 0;
         }
+        return lr_at(lr_base + pending);
+      };
+      for (size_t wi = bounds[shard]; wi < bounds[shard + 1]; ++wi) {
+        TrainWalk<HogwildKernels>(walks[wi], options_, sampler, sigmoid,
+                                  &shard_rng, next_lr, syn0, output.data(),
+                                  targets.data(), grad.data());
       }
       global_step.fetch_add(pending, std::memory_order_relaxed);
     });

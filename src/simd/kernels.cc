@@ -52,6 +52,13 @@ void Axpy(float a, const float* x, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
+void AxpyPair(float a, const float* x, float* y, float* acc, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    acc[i] += a * y[i];
+    y[i] += a * x[i];
+  }
+}
+
 void Add(float* acc, const float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) acc[i] += x[i];
 }
@@ -164,7 +171,8 @@ void BitsetIntersectBatchMulti(const uint64_t* qbase, const uint32_t* qids,
 const Kernels* GetScalarKernels() {
   static const Kernels table = {
       scalar::Dot,          scalar::DotAndNorms2, scalar::DotBatch,
-      scalar::DotBatchGather, scalar::Axpy,       scalar::Add,
+      scalar::DotBatchGather, scalar::Axpy,       scalar::AxpyPair,
+      scalar::Add,
       scalar::Scale,        scalar::IntersectSortedU32,
       scalar::DotI8,        scalar::DotBatchI8,
       scalar::DotBatchGatherI8, scalar::BitsetIntersectBatch,
@@ -303,6 +311,10 @@ void DotBatchGather(const float* q, const float* base, size_t dim,
 }
 
 void Axpy(float a, const float* x, float* y, size_t n) { K().axpy(a, x, y, n); }
+
+void AxpyPair(float a, const float* x, float* y, float* acc, size_t n) {
+  K().axpy_pair(a, x, y, acc, n);
+}
 
 void Add(float* acc, const float* x, size_t n) { K().add(acc, x, n); }
 

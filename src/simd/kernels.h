@@ -79,6 +79,13 @@ void DotBatchGatherMulti(const float* qbase, const uint32_t* qids, size_t nq,
 // y[i] += a * x[i].
 void Axpy(float a, const float* x, float* y, size_t n);
 
+// The skip-gram pair update in one pass: per element, acc[i] += a * y[i]
+// (reading y before its update), then y[i] += a * x[i]. Each element goes
+// through the same arithmetic as Axpy(a, y, acc, n) followed by
+// Axpy(a, x, y, n) in the same tier, so the result is bit-identical to
+// those two calls whenever acc aliases neither x nor y.
+void AxpyPair(float a, const float* x, float* y, float* acc, size_t n);
+
 // acc[i] += x[i].
 void Add(float* acc, const float* x, size_t n);
 
@@ -150,6 +157,7 @@ void DotBatch(const float* q, const float* rows, size_t dim, size_t count,
 void DotBatchGather(const float* q, const float* base, size_t dim,
                     const uint32_t* ids, size_t count, float* out);
 void Axpy(float a, const float* x, float* y, size_t n);
+void AxpyPair(float a, const float* x, float* y, float* acc, size_t n);
 void Add(float* acc, const float* x, size_t n);
 void Scale(float* x, float s, size_t n);
 size_t IntersectSortedU32(const uint32_t* a, size_t na, const uint32_t* b,

@@ -107,6 +107,24 @@ void AxpyAvx2(float a, const float* x, float* y, size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
+// AxpyAvx2(a, y, acc) then AxpyAvx2(a, x, y), element by element: the
+// same FMAs in the vector body and the same scalar tail expressions.
+void AxpyPairAvx2(float a, const float* x, float* y, float* acc, size_t n) {
+  __m256 va = _mm256_set1_ps(a);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 vy = _mm256_loadu_ps(y + i);
+    _mm256_storeu_ps(acc + i,
+                     _mm256_fmadd_ps(va, vy, _mm256_loadu_ps(acc + i)));
+    _mm256_storeu_ps(y + i,
+                     _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), vy));
+  }
+  for (; i < n; ++i) {
+    acc[i] += a * y[i];
+    y[i] += a * x[i];
+  }
+}
+
 void AddAvx2(float* acc, const float* x, size_t n) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -298,7 +316,8 @@ void BitsetIntersectBatchMultiAvx2(const uint64_t* qbase,
 const Kernels* GetAvx2Kernels() {
   static const Kernels table = {
       DotAvx2,           DotAndNorms2Avx2, DotBatchAvx2, DotBatchGatherAvx2,
-      AxpyAvx2,          AddAvx2,          ScaleAvx2,    IntersectAvx2,
+      AxpyAvx2,          AxpyPairAvx2,     AddAvx2,      ScaleAvx2,
+      IntersectAvx2,
       DotI8Avx2,         DotBatchI8Avx2,
       DotBatchGatherI8Avx2, BitsetIntersectBatchAvx2,
       DotBatchGatherMultiAvx2, DotBatchGatherMultiI8Avx2,

@@ -17,6 +17,7 @@ struct Kernels {
   void (*dot_batch_gather)(const float*, const float*, size_t,
                            const uint32_t*, size_t, float*);
   void (*axpy)(float, const float*, float*, size_t);
+  void (*axpy_pair)(float, const float*, float*, float*, size_t);
   void (*add)(float*, const float*, size_t);
   void (*scale)(float*, float, size_t);
   size_t (*intersect)(const uint32_t*, size_t, const uint32_t*, size_t);

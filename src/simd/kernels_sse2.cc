@@ -95,6 +95,22 @@ void AxpySse2(float a, const float* x, float* y, size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
+// AxpySse2(a, y, acc) then AxpySse2(a, x, y), element by element.
+void AxpyPairSse2(float a, const float* x, float* y, float* acc, size_t n) {
+  __m128 va = _mm_set1_ps(a);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m128 vy = _mm_loadu_ps(y + i);
+    _mm_storeu_ps(acc + i,
+                  _mm_add_ps(_mm_loadu_ps(acc + i), _mm_mul_ps(va, vy)));
+    _mm_storeu_ps(y + i, _mm_add_ps(vy, _mm_mul_ps(va, _mm_loadu_ps(x + i))));
+  }
+  for (; i < n; ++i) {
+    acc[i] += a * y[i];
+    y[i] += a * x[i];
+  }
+}
+
 void AddSse2(float* acc, const float* x, size_t n) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -263,7 +279,8 @@ void BitsetIntersectBatchMultiSse2(const uint64_t* qbase,
 const Kernels* GetSse2Kernels() {
   static const Kernels table = {
       DotSse2,           DotAndNorms2Sse2, DotBatchSse2, DotBatchGatherSse2,
-      AxpySse2,          AddSse2,          ScaleSse2,    IntersectSse2,
+      AxpySse2,          AxpyPairSse2,     AddSse2,      ScaleSse2,
+      IntersectSse2,
       DotI8Sse2,         DotBatchI8Sse2,
       DotBatchGatherI8Sse2, BitsetIntersectBatchSse2,
       DotBatchGatherMultiSse2, DotBatchGatherMultiI8Sse2,

@@ -1,18 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "benchgen/synthetic_kg.h"
 #include "core/similarity.h"
 #include "embedding/embedding_store.h"
+#include "embedding/negative_sampler.h"
 #include "embedding/quantized_store.h"
 #include "embedding/random_walks.h"
 #include "embedding/skipgram.h"
 #include "embedding/vector_ops.h"
+#include "simd/kernels.h"
 #include "util/rng.h"
 
 namespace thetis {
@@ -432,6 +436,94 @@ TEST(RandomWalksTest, IsolatedEntityWalksAreSingletons) {
   }
 }
 
+// --- Negative sampler ------------------------------------------------------------
+
+// The binary search over the cumulative weights that the guide table must
+// reproduce: the first token whose weight exceeds r, clamped to V - 1.
+WalkToken FindBySearch(const NegativeSampler& sampler, double r) {
+  const std::vector<double>& cumulative = sampler.cumulative();
+  size_t lo = static_cast<size_t>(
+      std::upper_bound(cumulative.begin(), cumulative.end(), r) -
+      cumulative.begin());
+  return static_cast<WalkToken>(std::min(lo, cumulative.size() - 1));
+}
+
+// The draws where rounding decides the token: 0, total, every cumulative
+// weight and every bucket edge (computed both ways a bucket index can
+// round), each with its float neighbours, clipped to [0, total].
+std::vector<double> BoundaryDraws(const NegativeSampler& sampler) {
+  const double total = sampler.total();
+  const size_t size = sampler.cumulative().size();
+  const double v = static_cast<double>(size);
+  std::vector<double> points = {0.0, total};
+  points.insert(points.end(), sampler.cumulative().begin(),
+                sampler.cumulative().end());
+  for (size_t b = 0; b <= size; ++b) {
+    points.push_back(static_cast<double>(b) * total / v);
+    points.push_back(static_cast<double>(b) / (v / total));
+  }
+  std::vector<double> draws;
+  for (double p : points) {
+    for (double r : {std::nextafter(p, 0.0), p,
+                     std::nextafter(p, std::numeric_limits<double>::max())}) {
+      if (r >= 0.0 && r <= total) draws.push_back(r);
+    }
+  }
+  return draws;
+}
+
+// The guide-table lookup returns the binary search's token for every
+// boundary draw and for `seeded` draws r = NextDouble() * total.
+void ExpectGuideMatchesSearch(const std::vector<uint64_t>& counts,
+                              double power, size_t seeded) {
+  NegativeSampler sampler(counts, power);
+  for (double r : BoundaryDraws(sampler)) {
+    ASSERT_EQ(sampler.Find(r), FindBySearch(sampler, r)) << "r=" << r;
+  }
+  Rng rng(counts.size() * 31 + seeded);
+  Rng replay = rng;
+  for (size_t i = 0; i < seeded; ++i) {
+    const double r = replay.NextDouble() * sampler.total();
+    ASSERT_EQ(sampler.Sample(&rng), FindBySearch(sampler, r)) << "draw " << i;
+  }
+}
+
+TEST(NegativeSamplerTest, GuideTableMatchesBinarySearchOnZipfCounts) {
+  Rng rng(3);
+  std::vector<uint64_t> counts(2000);
+  for (uint64_t& c : counts) c = 1 + rng.NextZipf(5000, 1.1);
+  ExpectGuideMatchesSearch(counts, 0.75, 2'000'000);
+}
+
+TEST(NegativeSamplerTest, GuideTableMatchesBinarySearchOnEqualCounts) {
+  // Every cumulative weight sits on a bucket edge.
+  ExpectGuideMatchesSearch(std::vector<uint64_t>(1000, 4), 0.75, 200'000);
+  ExpectGuideMatchesSearch(std::vector<uint64_t>(1024, 1), 1.0, 200'000);
+  // Seven counts of 10: r = 30 - ulp lands in bucket 3 (r * (7 / 70)
+  // rounds to 3.0), whose guide is token 3, past the answer 2, so the walk
+  // must step down.
+  ExpectGuideMatchesSearch(std::vector<uint64_t>(7, 10), 1.0, 1000);
+}
+
+TEST(NegativeSamplerTest, GuideTableMatchesBinarySearchOnSkewedCounts) {
+  // One token holds 99% of the mass: it spans almost every bucket.
+  std::vector<uint64_t> counts(100, 1);
+  counts[7] = 9801;
+  ExpectGuideMatchesSearch(counts, 1.0, 200'000);
+  counts[7] = 208'000;  // 208000^0.75 ≈ 9809
+  ExpectGuideMatchesSearch(counts, 0.75, 200'000);
+  // Weights below the leader's ULP leave runs of equal cumulative values.
+  std::vector<uint64_t> flat = {1, uint64_t{1} << 60, 1, 1, 1, 3, 1};
+  ExpectGuideMatchesSearch(flat, 1.0, 200'000);
+}
+
+TEST(NegativeSamplerTest, OneTokenVocabularyAlwaysDrawsIt) {
+  NegativeSampler sampler({5}, 0.75);
+  ExpectGuideMatchesSearch({5}, 0.75, 1000);
+  EXPECT_EQ(sampler.Find(0.0), 0u);
+  EXPECT_EQ(sampler.Find(sampler.total()), 0u);
+}
+
 // --- Skip-gram -------------------------------------------------------------------
 
 TEST(SkipGramTest, EmbedsCooccurringTokensCloser) {
@@ -467,6 +559,57 @@ TEST(SkipGramTest, TrainingIsDeterministic) {
       EXPECT_FLOAT_EQ(a.vector(e)[d], b.vector(e)[d]);
     }
   }
+}
+
+TEST(SkipGramTest, SerialTrainerMatchesGoldenChecksumInEveryTier) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "checksums recorded on x86-64, whose baseline ISA has "
+                  "no FMA for the compiler to contract scalar code into";
+#endif
+  // FNV-1a of the trained matrix per SIMD tier, recorded with the
+  // binary-search sampler and two Axpy calls per (context, target) pair.
+  // dim 32 has no scalar tails in any tier, so the sums do not depend on
+  // the optimization level.
+  struct Golden {
+    simd::Tier tier;
+    uint64_t checksum;
+  };
+  const Golden kGolden[] = {
+      {simd::Tier::kScalar, 0x72fb8b4b90cff47bULL},
+      {simd::Tier::kSse2, 0x973ffbd861bc868bULL},
+      {simd::Tier::kAvx2, 0x7edd1c962b800b2cULL},
+  };
+  Rng rng(31);
+  std::vector<std::vector<WalkToken>> walks(1500);
+  for (auto& walk : walks) {
+    walk.resize(2 + rng.NextBounded(7));
+    for (WalkToken& t : walk) {
+      t = static_cast<WalkToken>(rng.NextZipf(200, 1.0));
+    }
+  }
+  SkipGramOptions options;
+  options.dim = 32;
+  options.window = 3;
+  options.negatives = 5;
+  options.epochs = 3;
+  options.seed = 41;
+  options.num_threads = 1;
+  const simd::Tier saved = simd::ActiveTier();
+  for (const Golden& golden : kGolden) {
+    if (static_cast<int>(golden.tier) >
+        static_cast<int>(simd::BestSupportedTier())) {
+      continue;
+    }
+    simd::SetTier(golden.tier);
+    EmbeddingStore store = SkipGramTrainer(options).Train(walks, 200);
+    uint64_t hash = 1469598103934665603ULL;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(store.vector(0));
+    for (size_t i = 0; i < store.size() * store.dim() * sizeof(float); ++i) {
+      hash = (hash ^ bytes[i]) * 1099511628211ULL;
+    }
+    EXPECT_EQ(hash, golden.checksum) << simd::TierName(golden.tier);
+  }
+  simd::SetTier(saved);
 }
 
 TEST(SkipGramTest, EndToEndRdf2VecSeparatesTopics) {

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -207,6 +208,31 @@ TEST(SimdKernelsTest, ElementwiseKernelParityAcrossDims) {
       simd::Scale(gx.data(), a, n);
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(gx[i], rx[i]) << simd::TierName(tier) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, AxpyPairBitIdenticalToTwoAxpyWithinTier) {
+  TierGuard guard;
+  Rng rng(15);
+  for (simd::Tier tier : CompiledSupportedTiers()) {
+    simd::SetTier(tier);
+    for (size_t n = 1; n <= 67; ++n) {
+      auto x = RandomVec(&rng, n);
+      auto y = RandomVec(&rng, n);
+      auto acc = RandomVec(&rng, n);
+      float a = static_cast<float>(rng.NextGaussian());
+
+      std::vector<float> ry = y, racc = acc;
+      simd::Axpy(a, ry.data(), racc.data(), n);
+      simd::Axpy(a, x.data(), ry.data(), n);
+      simd::AxpyPair(a, x.data(), y.data(), acc.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::memcmp(&y[i], &ry[i], sizeof(float)), 0)
+            << simd::TierName(tier) << " n=" << n << " i=" << i;
+        ASSERT_EQ(std::memcmp(&acc[i], &racc[i], sizeof(float)), 0)
+            << simd::TierName(tier) << " n=" << n << " i=" << i;
       }
     }
   }
