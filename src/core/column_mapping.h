@@ -141,22 +141,24 @@ struct MappingScratch {
   std::vector<std::vector<double>> scores;
   HungarianScratch hungarian;
   // Batched σ scores of one column's distinct list against one query
-  // entity, and the dedup table + index used by the compatibility wrapper
-  // that builds a ColumnEntityIndex on the fly.
+  // entity, and the dedup table + index used by MapQueryTupleToColumns,
+  // which builds a ColumnEntityIndex on the fly.
   std::vector<double> cell_scores;
   DedupScratch dedup;
   ColumnEntityIndex index;
 };
 
-// Templated over the concrete similarity type: passing a concrete σ
-// source (e.g. SigmaReader) inlines the σ batch call in the innermost
+// Templated over the σ source: `score(i, targets, count, out)` writes
+// out[d] = σ(query_tuple[i], targets[d]) for a linked query entity i.
+// Passing a concrete source (e.g. a SigmaReader with each entity's row
+// resolved once per table) inlines the σ batch call in the innermost
 // matrix loop, which dominates the per-table cost once σ itself is cached.
-// Consumes a prebuilt ColumnEntityIndex so multi-tuple queries (and the
+// Consumes a prebuilt column-entity view so multi-tuple queries (and the
 // row aggregation) share one gather+dedup pass per table.
-template <typename Sim>
+template <typename ScoreFn>
 ColumnMapping MapQueryTupleToColumnsIndexed(
     const std::vector<EntityId>& query_tuple, ColumnIndexView index,
-    const Sim& sim, MappingScratch& scratch) {
+    const ScoreFn& score, MappingScratch& scratch) {
   std::vector<std::vector<double>>& scores = scratch.scores;
   ColumnMapping mapping;
   size_t k = query_tuple.size();
@@ -182,7 +184,7 @@ ColumnMapping MapQueryTupleToColumnsIndexed(
     cell_scores.resize(count);
     for (size_t i = 0; i < k; ++i) {
       if (query_tuple[i] == kNoEntity) continue;
-      sim.ScoreBatch(query_tuple[i], distinct, count, cell_scores.data());
+      score(i, distinct, count, cell_scores.data());
       double acc = 0.0;
       for (size_t d = 0; d < count; ++d) {
         acc += counts[d] * cell_scores[d];
@@ -202,32 +204,8 @@ ColumnMapping MapQueryTupleToColumnsIndexed(
   return mapping;
 }
 
-template <typename Sim>
-ColumnMapping MapQueryTupleToColumnsIndexed(
-    const std::vector<EntityId>& query_tuple, const ColumnEntityIndex& index,
-    const Sim& sim, MappingScratch& scratch) {
-  return MapQueryTupleToColumnsIndexed(query_tuple, index.View(), sim,
-                                       scratch);
-}
-
-template <typename Sim>
-ColumnMapping MapQueryTupleToColumnsScratch(
-    const std::vector<EntityId>& query_tuple, const Table& table,
-    const Sim& sim, MappingScratch& scratch) {
-  scratch.index.Build(table, scratch.dedup);
-  return MapQueryTupleToColumnsIndexed(query_tuple, scratch.index, sim,
-                                       scratch);
-}
-
-template <typename Sim>
-ColumnMapping MapQueryTupleToColumnsWith(
-    const std::vector<EntityId>& query_tuple, const Table& table,
-    const Sim& sim) {
-  MappingScratch scratch;
-  return MapQueryTupleToColumnsScratch(query_tuple, table, sim, scratch);
-}
-
-// Type-erased entry point (virtual σ dispatch per cell).
+// Type-erased entry point (virtual σ dispatch per column), building the
+// table's column-entity index on the fly.
 ColumnMapping MapQueryTupleToColumns(const std::vector<EntityId>& query_tuple,
                                      const Table& table,
                                      const EntitySimilarity& sim);

@@ -193,13 +193,14 @@ const ColumnMapping& QueryScopedCache::MappingFor(
     size_t tuple_index, const std::vector<EntityId>& tuple, const Table& table,
     TableId table_id, const SigmaReader& sigma) {
   mapping_scratch_.index.Build(table, mapping_scratch_.dedup);
-  return MappingFor(tuple_index, tuple, table_id,
-                    mapping_scratch_.index.View(), sigma);
+  return MappingFor(
+      tuple_index, tuple, table_id, mapping_scratch_.index.View(),
+      TupleSigma(sigma, tuple, &row_scratch_.sigma_rows));
 }
 
 const ColumnMapping& QueryScopedCache::MappingFor(
     size_t tuple_index, const std::vector<EntityId>& tuple, TableId table_id,
-    ColumnIndexView index, const SigmaReader& sigma) {
+    ColumnIndexView index, const TupleSigma& sigma) {
   key_scratch_.tuple_and_sig =
       (static_cast<uint64_t>(tuple_index) << 32) |
       static_cast<uint64_t>(SignatureOf(table_id, index));

@@ -107,15 +107,17 @@ class QueryScopedCache {
   // The Hungarian mapping of query tuple `tuple_index` (content `tuple`)
   // against table `table_id` (whose prebuilt column-entity view is `index`
   // — an arena slice or a per-table index's View()), computed from `sigma`
-  // at most once per distinct (signature, identity fingerprint). The
-  // returned reference is stable until the cache is destroyed.
+  // (the tuple's σ) at most once per distinct (signature, identity
+  // fingerprint). The returned reference is stable until the cache is
+  // destroyed.
   const ColumnMapping& MappingFor(size_t tuple_index,
                                   const std::vector<EntityId>& tuple,
                                   TableId table_id, ColumnIndexView index,
-                                  const SigmaReader& sigma);
+                                  const TupleSigma& sigma);
 
-  // Convenience overload that builds the column-entity index internally;
-  // the engine's hot path passes the prebuilt arena view instead.
+  // Convenience overload that builds the column-entity index and binds
+  // the tuple's σ internally; the engine's hot path passes the prebuilt
+  // arena view and the bound tuple instead.
   const ColumnMapping& MappingFor(size_t tuple_index,
                                   const std::vector<EntityId>& tuple,
                                   const Table& table, TableId table_id,
@@ -140,6 +142,8 @@ class QueryScopedCache {
     std::vector<double> cell_scores;
     DedupScratch dedup;
     ColumnEntityIndex index;
+    // One tuple's σ rows (TupleSigma).
+    std::vector<const double*> sigma_rows;
   };
   RowScratch& row_scratch() { return row_scratch_; }
 

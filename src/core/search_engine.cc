@@ -35,6 +35,20 @@ std::vector<EntityId> Query::DistinctEntities() const {
   return out;
 }
 
+namespace {
+
+std::shared_ptr<const std::vector<uint32_t>> RowCountsOf(const Corpus& corpus,
+                                                         size_t num_tables) {
+  THETIS_CHECK(num_tables <= corpus.size());
+  auto counts = std::make_shared<std::vector<uint32_t>>(num_tables);
+  for (TableId id = 0; id < num_tables; ++id) {
+    (*counts)[id] = static_cast<uint32_t>(corpus.table(id).num_rows());
+  }
+  return counts;
+}
+
+}  // namespace
+
 Query QueryFromTable(const Table& table, size_t max_tuples) {
   Query query;
   for (size_t r = 0; r < table.num_rows(); ++r) {
@@ -117,6 +131,7 @@ SearchEngine::SearchEngine(const SemanticDataLake* lake,
     obs::RecordShardPlan(plan.NumShards(), ShardImbalance(corpus, plan));
     obs::RecordEngineBuildPhase("shards", phase_watch.ElapsedSeconds());
   }
+  row_counts_ = RowCountsOf(corpus, shard_bounds_.back());
   all_tables_.resize(corpus.size());
   std::iota(all_tables_.begin(), all_tables_.end(), TableId{0});
   vocab_ = SigmaVocabulary(lake->MentionedEntities());
@@ -145,6 +160,11 @@ SearchEngine::SearchEngine(const SemanticDataLake* lake,
         << "prebuilt shards must tile the corpus contiguously";
     shard_bounds_.push_back(shard.end);
   }
+  row_counts_ = prebuilt.row_counts != nullptr
+                    ? std::move(prebuilt.row_counts)
+                    : RowCountsOf(lake->corpus(), shard_bounds_.back());
+  THETIS_CHECK(row_counts_->size() == shard_bounds_.back())
+      << "row counts must cover the prebuilt shards";
   all_tables_.resize(lake->corpus().size());
   std::iota(all_tables_.begin(), all_tables_.end(), TableId{0});
   vocab_ = SigmaVocabulary(lake->MentionedEntities());
@@ -217,7 +237,7 @@ namespace {
 // order with a strict > preserves the cell-at-a-time tie rule: among
 // equal-scoring entities the one whose first row appears earliest wins.
 void AggregateRows(ColumnIndexView index, const std::vector<EntityId>& tq,
-                   const ColumnMapping& mapping, const SigmaReader& sigma,
+                   const ColumnMapping& mapping, const TupleSigma& sigma,
                    QueryScopedCache::RowScratch& scratch) {
   size_t m = tq.size();
   std::vector<double>& agg = scratch.agg;
@@ -232,7 +252,7 @@ void AggregateRows(ColumnIndexView index, const std::vector<EntityId>& tq,
     const EntityId* distinct = index.ColumnDistinct(static_cast<size_t>(c));
     const double* counts = index.ColumnCounts(static_cast<size_t>(c));
     cell_scores.resize(count);
-    sigma.ScoreBatch(tq[i], distinct, count, cell_scores.data());
+    sigma(i, distinct, count, cell_scores.data());
     for (size_t d = 0; d < count; ++d) {
       double s = cell_scores[d];
       sums[i] += counts[d] * s;
@@ -294,16 +314,21 @@ double SearchEngine::ScoreTableImpl(const Query& query, TableId table_id,
     if (tq.empty()) continue;
     ++counted_tuples;
 
+    // The tuple's σ rows, resolved once for this table and read by every
+    // column loop of the mapping fill and the row aggregation.
+    const TupleSigma tuple_sigma(sigma, tq, &scratch.sigma_rows);
+
     // Line 5: Hungarian column mapping for this query tuple, reused across
     // tables with identical column signatures when a cache is present.
     Stopwatch mapping_watch;
     ColumnMapping local_mapping;
     const ColumnMapping* mapping_ptr;
     if (cache != nullptr) {
-      mapping_ptr = &cache->MappingFor(tuple_index, tq, table_id, view, sigma);
+      mapping_ptr =
+          &cache->MappingFor(tuple_index, tq, table_id, view, tuple_sigma);
     } else {
-      local_mapping = MapQueryTupleToColumnsIndexed(tq, view, sigma,
-                                                    ThreadScratch().mapping);
+      local_mapping = MapQueryTupleToColumnsIndexed(
+          tq, view, tuple_sigma, ThreadScratch().mapping);
       mapping_ptr = &local_mapping;
     }
     const ColumnMapping& mapping = *mapping_ptr;
@@ -318,7 +343,7 @@ double SearchEngine::ScoreTableImpl(const Query& query, TableId table_id,
     agg.assign(m, 0.0);
     sums.assign(m, 0.0);
     best_match.assign(m, kNoEntity);
-    AggregateRows(view, tq, mapping, sigma, scratch);
+    AggregateRows(view, tq, mapping, tuple_sigma, scratch);
     if (options_.aggregation == RowAggregation::kAvg) {
       for (size_t i = 0; i < m; ++i) {
         agg[i] = sums[i] / static_cast<double>(table.num_rows());
@@ -953,6 +978,7 @@ void SearchEngine::PrunePartition(const Query& query, PruneQuery& q,
       }
     };
     auto probe = [&](const auto& sim) {
+      const uint32_t* num_rows = row_counts_->data();
       fill([&](TableId id) {
         // Tables ingested after engine construction have no arena view:
         // +inf, always scored, never pruned.
@@ -960,9 +986,8 @@ void SearchEngine::PrunePartition(const Query& query, PruneQuery& q,
         if (!ArenaViewOf(id, &view)) {
           return std::numeric_limits<double>::infinity();
         }
-        return UpperBoundWithView(q.ctx, lake_->corpus().table(id).num_rows(),
-                                  view, sim, options_.aggregation,
-                                  part.bound_scratch);
+        return UpperBoundWithView(q.ctx, num_rows[id], view, sim,
+                                  options_.aggregation, part.bound_scratch);
       });
     };
     if (q.fused_bounds != nullptr) {
@@ -1335,7 +1360,7 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
       const TableId local = id - shard.begin;
       if (!shard.arena.Covers(local)) continue;
       ColumnIndexView view = shard.arena.ViewOf(local);
-      const size_t num_rows = corpus.table(id).num_rows();
+      const size_t num_rows = (*row_counts_)[id];
       const size_t union_count = view.DistinctCount();
       const size_t num_columns = view.num_columns;
       union_colmax.assign(nu * num_columns, 0.0);

@@ -247,6 +247,10 @@ class SearchEngine {
   // [0, corpus) contiguously.
   struct Prebuilt {
     std::vector<EngineShard> shards;
+    // Row counts of the tables the shards cover (RowCounts() of the engine
+    // the shards come from, shared by a delete re-skin); derived from the
+    // lake when null, as for a snapshot restore.
+    std::shared_ptr<const std::vector<uint32_t>> row_counts;
   };
 
   // Adopts snapshot-restored artifacts, skipping the offline build
@@ -263,6 +267,11 @@ class SearchEngine {
   const std::vector<EngineShard>& shards() const { return shards_; }
   const EntitySimilarity* similarity() const { return sim_; }
   const SemanticDataLake* lake() const { return lake_; }
+  // num_rows() of every table the shards cover, by TableId: the bound pass
+  // reads it per candidate instead of dereferencing the table.
+  const std::shared_ptr<const std::vector<uint32_t>>& RowCounts() const {
+    return row_counts_;
+  }
 
   // Locates `id`'s prebuilt column view across shards: false when no shard
   // covers it (late-ingested table — callers fall back to a per-query
@@ -426,6 +435,8 @@ class SearchEngine {
   // shards_.size() + 1 cumulative table bounds (shards_[s] covers
   // [shard_bounds_[s], shard_bounds_[s + 1])); ShardOf binary-searches it.
   std::vector<TableId> shard_bounds_;
+  // RowCounts(): shard_bounds_.back() entries, one per covered table.
+  std::shared_ptr<const std::vector<uint32_t>> row_counts_;
   // One σ-class vector shared by every shard's signature index (computed
   // once; each shard's TableSignatureIndex views it). Empty for a 1-shard
   // engine (whose index owns its own copy, as before) and for snapshot

@@ -89,7 +89,17 @@ class SigmaReader {
   // out[k] = σ(q, targets[k]), bit-identical to the base σ.
   void ScoreBatch(EntityId q, const EntityId* targets, size_t count,
                   double* out) const {
-    const double* row = table_->RowOf(q);
+    ScoreRow(q, RowOf(q), targets, count, out);
+  }
+
+  // The table's row for `q` (null when it holds none). A caller that scores
+  // `q` against several target lists resolves the row once and passes it
+  // to ScoreRow.
+  const double* RowOf(EntityId q) const { return table_->RowOf(q); }
+
+  // ScoreBatch with `row` == RowOf(q) already resolved.
+  void ScoreRow(EntityId q, const double* row, const EntityId* targets,
+                size_t count, double* out) const {
     if (row == nullptr) {
       table_->base().ScoreBatch(q, targets, count, out);
       return;
@@ -131,6 +141,34 @@ class SigmaReader {
   // The last ScoreBatchMulti entity list and its rows (null: no row).
   mutable std::vector<EntityId> row_entities_;
   mutable std::vector<const double*> rows_;
+};
+
+// One query tuple's σ for the column loops of the mapping fill and the row
+// aggregation (the ScoreFn of MapQueryTupleToColumnsIndexed): each
+// position's row is resolved once when the tuple is bound to a table, not
+// once per column.
+class TupleSigma {
+ public:
+  // `rows` is caller-owned scratch, overwritten here.
+  TupleSigma(const SigmaReader& reader, const std::vector<EntityId>& tuple,
+             std::vector<const double*>* rows)
+      : reader_(reader), tuple_(tuple), rows_(rows) {
+    rows->resize(tuple.size());
+    for (size_t i = 0; i < tuple.size(); ++i) {
+      (*rows)[i] = tuple[i] == kNoEntity ? nullptr : reader.RowOf(tuple[i]);
+    }
+  }
+
+  // out[d] = σ(tuple[i], targets[d]).
+  void operator()(size_t i, const EntityId* targets, size_t count,
+                  double* out) const {
+    reader_.ScoreRow(tuple_[i], (*rows_)[i], targets, count, out);
+  }
+
+ private:
+  const SigmaReader& reader_;
+  const std::vector<EntityId>& tuple_;
+  const std::vector<const double*>* rows_;
 };
 
 }  // namespace thetis

@@ -62,12 +62,14 @@ std::vector<TypeId> KnowledgeGraph::TypeSet(EntityId e,
                                             bool include_ancestors) const {
   const auto& direct = entity_types_[e];
   if (!include_ancestors) return direct;
-  std::unordered_set<TypeId> all;
+  // Direct types often share ancestors: concatenate every ancestor path,
+  // then sort and drop the repeats.
+  std::vector<TypeId> out;
   for (TypeId t : direct) {
-    for (TypeId a : taxonomy_.SelfAndAncestors(t)) all.insert(a);
+    for (; t != kNoType; t = taxonomy_.parent(t)) out.push_back(t);
   }
-  std::vector<TypeId> out(all.begin(), all.end());
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/logging.h"
 
@@ -18,31 +17,54 @@ SemanticDataLake::SemanticDataLake(const Corpus* corpus,
 }
 
 size_t SemanticDataLake::IngestNewTables() {
-  size_t ingested = 0;
-  bool new_entities = false;
-  for (TableId id = static_cast<TableId>(indexed_tables_);
-       id < corpus_->size(); ++id) {
+  const size_t first = indexed_tables_;
+  const Taxonomy& taxonomy = kg_->taxonomy();
+  if (type_table_counts_.size() < taxonomy.size()) {
+    type_table_counts_.resize(taxonomy.size(), 0);
+  }
+  // Per-call scratch, sized by the new tables and the taxonomy only: one
+  // table's linked cells, and the last table (plus one) each type was
+  // counted for.
+  std::vector<EntityId> entities;
+  std::vector<TableId> type_stamp(taxonomy.size(), 0);
+  std::vector<EntityId> new_entities;
+  for (TableId id = static_cast<TableId>(first); id < corpus_->size(); ++id) {
     const Table& t = corpus_->table(id);
-    std::unordered_set<TypeId> table_types;
-    for (EntityId e : t.DistinctEntities()) {
-      auto [it, inserted] = entity_tables_.try_emplace(e);
-      it->second.push_back(id);
-      new_entities |= inserted;
-      for (TypeId ty : kg_->TypeSet(e, /*include_ancestors=*/true)) {
-        table_types.insert(ty);
+    entities.clear();
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      for (EntityId e : t.row_links(r)) {
+        if (e != kNoEntity) entities.push_back(e);
       }
     }
-    for (TypeId ty : table_types) ++type_table_counts_[ty];
-    ++ingested;
+    std::sort(entities.begin(), entities.end());
+    entities.erase(std::unique(entities.begin(), entities.end()),
+                   entities.end());
+    const TableId stamp = id + 1;
+    for (EntityId e : entities) {
+      auto [it, inserted] = entity_tables_.try_emplace(e);
+      it->second.push_back(id);
+      if (inserted) new_entities.push_back(e);
+      // Count each type of e's ancestor-closed type set once per table.
+      // A type already stamped for this table has its whole ancestor path
+      // stamped too, so each walk stops at the first stamped type.
+      for (TypeId ty : kg_->DirectTypes(e)) {
+        for (; ty != kNoType && type_stamp[ty] != stamp;
+             ty = taxonomy.parent(ty)) {
+          type_stamp[ty] = stamp;
+          ++type_table_counts_[ty];
+        }
+      }
+    }
   }
   indexed_tables_ = corpus_->size();
-  if (new_entities || mentioned_entities_.size() != entity_tables_.size()) {
-    mentioned_entities_.clear();
-    mentioned_entities_.reserve(entity_tables_.size());
-    for (const auto& [e, _] : entity_tables_) mentioned_entities_.push_back(e);
-    std::sort(mentioned_entities_.begin(), mentioned_entities_.end());
-  }
-  return ingested;
+  std::sort(new_entities.begin(), new_entities.end());
+  const size_t old_size = mentioned_entities_.size();
+  mentioned_entities_.insert(mentioned_entities_.end(), new_entities.begin(),
+                             new_entities.end());
+  std::inplace_merge(mentioned_entities_.begin(),
+                     mentioned_entities_.begin() + old_size,
+                     mentioned_entities_.end());
+  return indexed_tables_ - first;
 }
 
 const std::vector<TableId>& SemanticDataLake::TablesWithEntity(
@@ -69,8 +91,7 @@ double SemanticDataLake::Informativeness(EntityId e) const {
 
 double SemanticDataLake::TypeTableFraction(TypeId t) const {
   if (corpus_->size() == 0) return 0.0;
-  auto it = type_table_counts_.find(t);
-  size_t count = it == type_table_counts_.end() ? 0 : it->second;
+  size_t count = t < type_table_counts_.size() ? type_table_counts_[t] : 0;
   return static_cast<double>(count) / static_cast<double>(corpus_->size());
 }
 

@@ -63,7 +63,8 @@ class SemanticDataLake {
   size_t indexed_tables_ = 0;
   std::unordered_map<EntityId, std::vector<TableId>> entity_tables_;
   std::vector<EntityId> mentioned_entities_;
-  std::unordered_map<TypeId, size_t> type_table_counts_;
+  // Tables counted per type, indexed by TypeId (taxonomy-sized).
+  std::vector<size_t> type_table_counts_;
   static const std::vector<TableId> kEmptyTables;
 };
 

@@ -168,6 +168,7 @@ std::shared_ptr<EngineEpoch> ServeRuntime::BuildDeleteEpoch(TableId id) {
     view.signatures.table_base = shard.signatures.table_base;
     prebuilt.shards.push_back(std::move(view));
   }
+  prebuilt.row_counts = base->engine->RowCounts();
   auto engine = std::make_unique<SearchEngine>(
       base->engine->lake(), base->engine->similarity(),
       EpochSearchOptions(tombstones), std::move(prebuilt));

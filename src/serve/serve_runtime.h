@@ -192,8 +192,10 @@ class ServeRuntime {
   std::shared_ptr<const LoadedEngine> loaded_;
 
   // Writer-owned master state: the one mutable world ingest applies to.
-  // Epochs never reference it — each full epoch clones it — so readers
-  // and the writer share no mutable structure.
+  // Each full epoch clones the master corpus, sharing its tables; a table
+  // the writer compacts is copied first while an epoch still holds it
+  // (Corpus::mutable_table), and epochs are cloned and destroyed only on
+  // the writer side, so readers and the writer share no mutable structure.
   Corpus master_corpus_;
   std::unique_ptr<SemanticDataLake> master_lake_;
   std::unique_ptr<Lsei> master_lsei_;

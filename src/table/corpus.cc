@@ -1,5 +1,6 @@
 #include "table/corpus.h"
 
+#include <atomic>
 #include <unordered_set>
 
 namespace thetis {
@@ -14,7 +15,7 @@ Result<TableId> Corpus::AddTable(Table table) {
     return Status::AlreadyExists("table name '" + table.name() +
                                  "' already in corpus");
   }
-  tables_.push_back(std::move(table));
+  tables_.push_back(std::make_shared<Table>(std::move(table)));
   return it->second;
 }
 
@@ -23,6 +24,18 @@ Corpus Corpus::Clone() const {
   copy.tables_ = tables_;
   copy.by_name_ = by_name_;
   return copy;
+}
+
+Table* Corpus::mutable_table(TableId id) {
+  std::shared_ptr<Table>& table = tables_[id];
+  if (table.use_count() > 1) {
+    table = std::make_shared<Table>(*table);
+  } else {
+    // The last other holder may have let go on another thread: order its
+    // reads of the table before this caller's writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  }
+  return table.get();
 }
 
 Result<TableId> Corpus::FindByName(const std::string& name) const {
@@ -41,7 +54,8 @@ CorpusStats Corpus::ComputeStats() const {
   double cols = 0.0;
   double cov = 0.0;
   std::unordered_set<EntityId> entities;
-  for (const Table& t : tables_) {
+  for (const auto& table : tables_) {
+    const Table& t = *table;
     rows += static_cast<double>(t.num_rows());
     cols += static_cast<double>(t.num_columns());
     cov += t.LinkCoverage();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
+#include "benchgen/synthetic_kg.h"
 #include "kg/knowledge_graph.h"
 #include "kg/taxonomy.h"
 #include "kg/triple_io.h"
@@ -149,6 +153,32 @@ TEST(KnowledgeGraphTest, TypeSetWithAncestors) {
   EXPECT_EQ(direct.size(), 1u);  // Athlete only
   auto expanded = kg.TypeSet(santo, true);
   EXPECT_EQ(expanded.size(), 3u);  // Athlete, Person, Thing
+}
+
+TEST(KnowledgeGraphTest, TypeSetMatchesHashSetExpansionOnGeneratedKg) {
+  benchgen::SyntheticKgOptions options;
+  options.seed = 29;
+  const benchgen::SyntheticKg generated = benchgen::GenerateSyntheticKg(options);
+  const KnowledgeGraph& kg = generated.kg;
+  size_t shared_ancestors = 0;
+  for (EntityId e = 0; e < kg.num_entities(); ++e) {
+    // The definition: the union of every direct type's ancestor path.
+    std::unordered_set<TypeId> all;
+    size_t path_types = 0;
+    for (TypeId t : kg.DirectTypes(e)) {
+      for (TypeId a : kg.taxonomy().SelfAndAncestors(t)) {
+        all.insert(a);
+        ++path_types;
+      }
+    }
+    std::vector<TypeId> want(all.begin(), all.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(kg.TypeSet(e, /*include_ancestors=*/true), want) << e;
+    EXPECT_EQ(kg.TypeSet(e, /*include_ancestors=*/false), kg.DirectTypes(e));
+    if (path_types > all.size()) ++shared_ancestors;
+  }
+  // Many entities have several direct types whose paths meet.
+  EXPECT_GT(shared_ancestors, kg.num_entities() / 10);
 }
 
 TEST(KnowledgeGraphTest, AddEntityTypeIdempotent) {

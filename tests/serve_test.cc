@@ -396,6 +396,56 @@ TEST(ServeRuntimeTest, DeleteTombstonesImmediatelyAndCompactionFolds) {
   }
 }
 
+// Epochs share their tables with the writer's master corpus. Compaction
+// blanks a deleted table in the master; an epoch pinned before that ingest
+// must still read the table's original rows (the master copies the table
+// before writing it) and still rank with them.
+TEST(ServeRuntimeTest, PinnedEpochReadsDeletedTableThroughCompaction) {
+  World world(0.03, 53, 1, 3, 4);
+  ServeOptions options = SmallServeOptions();
+  auto ref_initial = world.Reference(world.CorpusAt(0), options.search);
+  size_t probe = 0;
+  while (probe < ref_initial.size() && ref_initial[probe].empty()) ++probe;
+  ASSERT_LT(probe, ref_initial.size());
+  const TableId victim = ref_initial[probe][0].table;
+  const Table& original = world.base.table(victim);
+  ASSERT_GT(original.num_rows(), 0u);
+
+  ServeRuntime runtime(world.CorpusAt(0), &world.bench.kg.kg, &world.sim,
+                       options);
+  ASSERT_TRUE(runtime.DeleteTable(original.name()).ok());
+  EpochRegistry::Pin pinned = runtime.PinCurrent();
+  ASSERT_TRUE(pinned);
+  EXPECT_EQ(pinned->id, 1u);
+  const Table* pinned_table = &pinned->engine->lake()->corpus().table(victim);
+
+  Result<uint64_t> ingested =
+      runtime.IngestTables(std::vector<Table>(world.batches[0]));
+  ASSERT_TRUE(ingested.ok()) << ingested.status().message();
+  {
+    EpochRegistry::Pin current = runtime.PinCurrent();
+    ASSERT_TRUE(current);
+    EXPECT_EQ(current->id, 2u);
+    EXPECT_EQ(current->corpus->table(victim).num_rows(), 0u);
+  }
+
+  const Table& kept = pinned->engine->lake()->corpus().table(victim);
+  EXPECT_EQ(&kept, pinned_table);
+  ASSERT_EQ(kept.num_rows(), original.num_rows());
+  ASSERT_EQ(kept.num_columns(), original.num_columns());
+  for (size_t r = 0; r < original.num_rows(); ++r) {
+    EXPECT_EQ(kept.row(r), original.row(r)) << "row " << r;
+    EXPECT_EQ(kept.row_links(r), original.row_links(r)) << "row " << r;
+  }
+  // The pinned engine still scores the table from its original rows.
+  SemanticDataLake lake(&world.base, &world.bench.kg.kg);
+  SearchEngine offline(&lake, &world.sim, options.search);
+  const Query& query = world.queries[probe].query;
+  EXPECT_EQ(pinned->engine->ScoreTable(query, victim),
+            offline.ScoreTable(query, victim));
+  EXPECT_GT(pinned->engine->ScoreTable(query, victim), 0.0);
+}
+
 TEST(ServeRuntimeTest, SnapshotColdStartServesDeletesAndIngests) {
   World world(0.03, 47, 1, 3, 5);
   ServeOptions options = SmallServeOptions();

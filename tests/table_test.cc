@@ -108,6 +108,84 @@ TEST(TableTest, ClearLinks) {
 
 // --- CSV ---------------------------------------------------------------------
 
+// A one-column corpus whose table i holds the single string "v<i>".
+Corpus MakeCorpus(int tables) {
+  Corpus corpus;
+  for (int i = 0; i < tables; ++i) {
+    Table t("t" + std::to_string(i), {"c"});
+    EXPECT_TRUE(
+        t.AppendRow({Value::String("v" + std::to_string(i))}, {EntityId(i)})
+            .ok());
+    EXPECT_TRUE(corpus.AddTable(std::move(t)).ok());
+  }
+  return corpus;
+}
+
+TEST(CorpusTest, CloneSharesTables) {
+  Corpus original = MakeCorpus(3);
+  Corpus clone = original.Clone();
+  ASSERT_EQ(clone.size(), original.size());
+  for (TableId id = 0; id < original.size(); ++id) {
+    EXPECT_EQ(&clone.table(id), &original.table(id));
+  }
+  EXPECT_EQ(clone.FindByName("t2").value(), 2u);
+}
+
+TEST(CorpusTest, WriteToCloneLeavesOriginalUnchanged) {
+  Corpus original = MakeCorpus(3);
+  Corpus clone = original.Clone();
+  const Table* shared = &original.table(1);
+  Table* written = clone.mutable_table(1);
+  EXPECT_NE(written, shared);
+  *written->mutable_cell(0, 0) = Value::String("changed");
+  written->set_link(0, 0, 42);
+  EXPECT_EQ(&original.table(1), shared);
+  EXPECT_EQ(original.table(1).cell(0, 0).string_value(), "v1");
+  EXPECT_EQ(original.table(1).link(0, 0), 1u);
+  EXPECT_EQ(clone.table(1).cell(0, 0).string_value(), "changed");
+  EXPECT_EQ(clone.table(1).link(0, 0), 42u);
+  // Untouched tables stay shared; the written one is the clone's own now,
+  // so a second write does not copy again.
+  EXPECT_EQ(&clone.table(0), &original.table(0));
+  EXPECT_EQ(clone.mutable_table(1), written);
+}
+
+TEST(CorpusTest, WriteToOriginalLeavesCloneUnchanged) {
+  Corpus original = MakeCorpus(3);
+  Corpus clone = original.Clone();
+  *original.mutable_table(2) = Table("t2", {});
+  EXPECT_EQ(original.table(2).num_rows(), 0u);
+  EXPECT_EQ(clone.table(2).num_rows(), 1u);
+  EXPECT_EQ(clone.table(2).cell(0, 0).string_value(), "v2");
+  EXPECT_EQ(clone.table(2).link(0, 0), 2u);
+}
+
+TEST(CorpusTest, SoleOwnerWritesInPlace) {
+  Corpus corpus = MakeCorpus(2);
+  const Table* before = &corpus.table(0);
+  EXPECT_EQ(corpus.mutable_table(0), before);
+  {
+    Corpus clone = corpus.Clone();
+  }
+  // The clone is gone, so the table is not shared any more.
+  EXPECT_EQ(corpus.mutable_table(1), &corpus.table(1));
+}
+
+TEST(CorpusTest, AddTableToCloneLeavesOriginalUnchanged) {
+  Corpus original = MakeCorpus(2);
+  Corpus clone = original.Clone();
+  ASSERT_TRUE(clone.AddTable(Table("new", {"c"})).ok());
+  EXPECT_EQ(clone.size(), 3u);
+  EXPECT_EQ(clone.FindByName("new").value(), 2u);
+  EXPECT_EQ(original.size(), 2u);
+  EXPECT_FALSE(original.FindByName("new").ok());
+  // And the reverse: the original's new table is not the clone's.
+  ASSERT_TRUE(original.AddTable(Table("other", {"c"})).ok());
+  EXPECT_EQ(original.FindByName("other").value(), 2u);
+  EXPECT_FALSE(clone.FindByName("other").ok());
+  EXPECT_EQ(clone.table(2).name(), "new");
+}
+
 TEST(CsvTest, ParsesHeaderAndRows) {
   auto result = ParseCsv("a,b\n1,x\n2,y\n");
   ASSERT_TRUE(result.ok());
