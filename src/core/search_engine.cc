@@ -1,6 +1,7 @@
 #include "core/search_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <type_traits>
 
 #include "core/column_mapping.h"
 #include "core/shard_plan.h"
@@ -195,7 +197,7 @@ QuerySigmaTable SearchEngine::SigmaTableFor(
   // Pairs the query will serve each entity: at least its candidates'
   // distinct-entity unions (the bound pass scores each once). Counting
   // stops at the vocabulary size, the only threshold that matters. With
-  // caching off the count stays 0, so the table gets no rows.
+  // caching off the count stays 0, so the table stays empty.
   size_t pairs = 0;
   if (options_.enable_cache) {
     for (TableId id : candidates) {
@@ -482,10 +484,12 @@ const std::vector<TableId>& FilterTombstoned(
 // Sec. 5.1) and aggregates each entity's σ over its mapped column. The
 // bound follows both steps.
 //
-// 1. Per-(entity, column) maxima. For each distinct query entity e_i, one
-//    batched σ over the table's distinct-entity union — the column slices
-//    laid end to end — and a segmented max give
-//    M[i][c] = max(0, max over column c's entities of σ(e_i, ·)). Under
+// 1. Per-(entity, column) maxima
+//    M[i][c] = max(0, max over column c's entities of σ(e_i, ·)), from the
+//    query's σ table by SigmaReader::ColumnMaxima when the table is built,
+//    else from one batched σ over the table's distinct-entity union (the
+//    column slices laid end to end) and a segmented max; both give the
+//    same doubles, stored column-major. Under
 //    kMax the exact coordinate of a position mapped to column c is exactly
 //    M[i][c] (the same σ doubles; max is exact); an unmapped position's is
 //    0. Under kAvg it is (Σ_d count_d · σ_d) / num_rows over the mapped
@@ -569,29 +573,35 @@ void BuildBoundContext(const Query& query, const SemanticDataLake& lake,
 // Depth-first branch and bound over one tuple's injective partial
 // assignments. Positions are assigned in tuple order, so a node's partial
 // sum is the rounded prefix sum of every assignment below it, and adding a
-// completion's terms can only raise it.
+// completion's terms can only raise it. A searched tuple has at most
+// kMaxSearchWidth positions of at most kMaxSearchWidth + 1 options each,
+// so fixed arrays hold every search and none allocates.
 struct AssignmentSearch {
-  // Options of position i: slots [i * stride, i * stride + count[i]),
-  // cheapest first, the last one "unmapped" (column -1, coordinate 0).
+  static constexpr size_t kMaxOptions =
+      kMaxSearchWidth * (kMaxSearchWidth + 1);
+  // Options of position i < width: slots [i * stride, i * stride +
+  // count[i]), cheapest first, the last one "unmapped" (column -1,
+  // coordinate 0).
+  size_t width = 0;
   size_t stride = 0;
-  std::vector<size_t> count;
-  std::vector<int> column;
-  std::vector<double> coord;
-  std::vector<double> term;
-  std::vector<int> chosen;     // column of each assigned position
-  std::vector<size_t> choice;  // option slot of each assigned position
-  std::vector<size_t> best;
+  std::array<size_t, kMaxSearchWidth> count;
+  std::array<int, kMaxOptions> column;
+  std::array<double, kMaxOptions> coord;
+  std::array<double, kMaxOptions> term;
+  std::array<int, kMaxSearchWidth> chosen;     // column of each position
+  std::array<size_t, kMaxSearchWidth> choice;  // option slot of each
+  std::array<size_t, kMaxSearchWidth> best;
   double best_sum = 0.0;
   size_t nodes = 0;
 
   void Descend(size_t i, double partial) {
     if (nodes == 0) return;
     --nodes;
-    const size_t m = count.size();
+    const size_t m = width;
     if (i == m) {
       if (partial < best_sum) {
         best_sum = partial;
-        std::copy(choice.begin(), choice.end(), best.begin());
+        std::copy(choice.begin(), choice.begin() + m, best.begin());
       }
       return;
     }
@@ -615,10 +625,13 @@ struct AssignmentSearch {
 // Per-worker buffers of the bound pass.
 struct BoundScratch {
   std::vector<double> sigma;   // batched σ over one table's distinct union
-  std::vector<double> colmax;  // M: num_columns maxima per query entity
-  // Per context entity: its row of M (into `colmax`, or into the fused
-  // pass's union-wide maxima).
+  // M, column-major: per column, one maximum per entity of the block.
+  std::vector<double> colmax;
+  // Per context entity: its strided row of M (into `colmax`, or into the
+  // fused pass's union-wide maxima); column c's maximum is at
+  // rows[i][c * row_step], row_step being the entities per column block.
   std::vector<const double*> rows;
+  size_t row_step = 1;
   // Per context entity: the columns of its largest positive maxima,
   // largest first (ties to the lower column), at most search_width of
   // them, at top[entity * search_width]; top_count[entity] says how many.
@@ -629,11 +642,12 @@ struct BoundScratch {
 };
 
 // Segmented max of `count` σ rows (one per query entity, each over a
-// table's whole distinct union) into `count` rows of num_columns maxima:
-// column c's slice is [offsets[c], offsets[c + 1]) of the union. Starts at
-// 0 like the scorer's running max, so an empty column gets 0. A column
-// slice holds only a few entities, so one row's max chain is
-// latency-bound; four rows run interleaved.
+// table's whole distinct union) into the column-major maxima block of
+// SigmaReader::ColumnMaxima, out[c * count + q]: column c's slice is
+// [offsets[c], offsets[c + 1]) of the union. Starts at 0 like the scorer's
+// running max, so an empty column gets 0. A column slice holds only a few
+// entities, so one row's max chain is latency-bound; four rows run
+// interleaved. The base-σ and compressed bounds take this path.
 void ColumnMaxima(ColumnIndexView view, const double* sigma, size_t count,
                   double* out) {
   const size_t stride = view.DistinctCount();
@@ -645,7 +659,6 @@ void ColumnMaxima(ColumnIndexView view, const double* sigma, size_t count,
     const double* s1 = s0 + stride;
     const double* s2 = s1 + stride;
     const double* s3 = s2 + stride;
-    double* o = out + q * num_columns;
     for (size_t c = 0; c < num_columns; ++c) {
       double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
       for (uint32_t d = offsets[c]; d < offsets[c + 1]; ++d) {
@@ -654,10 +667,11 @@ void ColumnMaxima(ColumnIndexView view, const double* sigma, size_t count,
         m2 = std::max(m2, s2[d]);
         m3 = std::max(m3, s3[d]);
       }
-      o[c] = m0;
-      o[num_columns + c] = m1;
-      o[2 * num_columns + c] = m2;
-      o[3 * num_columns + c] = m3;
+      double* o = out + c * count + q;
+      o[0] = m0;
+      o[1] = m1;
+      o[2] = m2;
+      o[3] = m3;
     }
   }
   for (; q < count; ++q) {
@@ -667,7 +681,7 @@ void ColumnMaxima(ColumnIndexView view, const double* sigma, size_t count,
       for (uint32_t d = offsets[c]; d < offsets[c + 1]; ++d) {
         m0 = std::max(m0, s0[d]);
       }
-      out[q * num_columns + c] = m0;
+      out[c * count + q] = m0;
     }
   }
 }
@@ -705,11 +719,8 @@ void MinimizeTupleDistance(const BoundContext& ctx, size_t t,
     if (s != kNoSlot && scratch.top_count[s] > 0) ++active;
   }
   const size_t stride = active + 1;
+  search.width = m;
   search.stride = stride;
-  search.count.resize(m);
-  search.column.resize(m * stride);
-  search.coord.resize(m * stride);
-  search.term.resize(m * stride);
   for (size_t i = 0; i < m; ++i) {
     const size_t s = slots[i];
     int* column = search.column.data() + i * stride;
@@ -721,7 +732,8 @@ void MinimizeTupleDistance(const BoundContext& ctx, size_t t,
       n = std::min(active, scratch.top_count[s]);
       for (size_t o = 0; o < n; ++o) {
         column[o] = top[o];
-        coord[o] = BoundCoordinate(scratch.rows[s][top[o]], aggregation);
+        coord[o] = BoundCoordinate(
+            scratch.rows[s][top[o] * scratch.row_step], aggregation);
         term[o] = DistanceTerm(weights[i], coord[o]);
       }
     }
@@ -730,9 +742,6 @@ void MinimizeTupleDistance(const BoundContext& ctx, size_t t,
     term[n] = DistanceTerm(weights[i], 0.0);
     search.count[i] = n + 1;
   }
-  search.chosen.resize(m);
-  search.choice.resize(m);
-  search.best.resize(m);
   search.best_sum = std::numeric_limits<double>::infinity();
   search.nodes = kAssignmentNodeBudget;
   search.Descend(0, 0.0);
@@ -762,13 +771,14 @@ double AssembleMappingBound(const BoundContext& ctx, size_t num_rows,
     // Insertion-select the `width` largest positive maxima: no searched
     // tuple has more active positions than that.
     const double* row = scratch.rows[q];
+    const size_t step = scratch.row_step;
     int* top = scratch.top.data() + q * width;
     size_t n = 0;
     for (size_t c = 0; c < num_columns; ++c) {
-      const double v = row[c];
-      if (v <= 0.0 || (n == width && v <= row[top[n - 1]])) continue;
+      const double v = row[c * step];
+      if (v <= 0.0 || (n == width && v <= row[top[n - 1] * step])) continue;
       size_t k = n < width ? n++ : n - 1;
-      for (; k > 0 && row[top[k - 1]] < v; --k) top[k] = top[k - 1];
+      for (; k > 0 && row[top[k - 1] * step] < v; --k) top[k] = top[k - 1];
       top[k] = static_cast<int>(c);
     }
     scratch.top_count[q] = n;
@@ -792,7 +802,8 @@ double AssembleMappingBound(const BoundContext& ctx, size_t num_rows,
       coords[i] = 0.0;
       if (s == kNoSlot || scratch.top_count[s] == 0) continue;
       const int best = scratch.top[s * width];
-      coords[i] = BoundCoordinate(scratch.rows[s][best], aggregation);
+      coords[i] = BoundCoordinate(scratch.rows[s][best * scratch.row_step],
+                                  aggregation);
       for (size_t j = 0; j < i && distinct; ++j) {
         distinct = slots[j] == kNoSlot || scratch.top_count[slots[j]] == 0 ||
                    scratch.top[slots[j] * width] != best;
@@ -806,6 +817,11 @@ double AssembleMappingBound(const BoundContext& ctx, size_t num_rows,
   return (sum / static_cast<double>(ctx.counted_tuples)) * (1.0 + 1e-12);
 }
 
+// The per-query bound of one table. A SigmaReader must be over a built σ
+// table whose entities are ctx.entities (the query's own table): its
+// fused kernel reads the maxima straight from the table. Any other
+// similarity runs one multi-query σ batch over the table's distinct union
+// and the segmented max.
 template <typename Sim>
 double UpperBoundWithView(const BoundContext& ctx, size_t num_rows,
                           ColumnIndexView view, const Sim& sim,
@@ -816,18 +832,22 @@ double UpperBoundWithView(const BoundContext& ctx, size_t num_rows,
   }
   const size_t num_columns = view.num_columns;
   const size_t num_entities = ctx.entities.size();
-  scratch.sigma.resize(num_entities * union_count);
-  scratch.colmax.resize(num_entities * num_columns);
-  scratch.rows.resize(num_entities);
-  const EntityId* distinct = view.distinct + view.DistinctBegin();
-  // One multi-query σ batch covers every entity and column at once.
-  sim.ScoreBatchMulti(ctx.entities.data(), num_entities, distinct,
-                      union_count, scratch.sigma.data());
-  for (size_t q = 0; q < num_entities; ++q) {
-    scratch.rows[q] = scratch.colmax.data() + q * num_columns;
+  scratch.colmax.resize(num_columns * num_entities);
+  if constexpr (std::is_same_v<Sim, SigmaReader>) {
+    sim.ColumnMaxima(view, scratch.colmax.data());
+  } else {
+    scratch.sigma.resize(num_entities * union_count);
+    const EntityId* distinct = view.distinct + view.DistinctBegin();
+    sim.ScoreBatchMulti(ctx.entities.data(), num_entities, distinct,
+                        union_count, scratch.sigma.data());
+    ColumnMaxima(view, scratch.sigma.data(), num_entities,
+                 scratch.colmax.data());
   }
-  ColumnMaxima(view, scratch.sigma.data(), num_entities,
-               scratch.colmax.data());
+  scratch.rows.resize(num_entities);
+  for (size_t q = 0; q < num_entities; ++q) {
+    scratch.rows[q] = scratch.colmax.data() + q;
+  }
+  scratch.row_step = num_entities;
   return AssembleMappingBound(ctx, num_rows, num_columns, aggregation,
                               scratch);
 }
@@ -1000,8 +1020,10 @@ void SearchEngine::PrunePartition(const Query& query, PruneQuery& q,
       });
     } else if (q.compressed) {
       probe(CompressedBoundSim{sim_});
-    } else {
+    } else if (part.sigma.built()) {
       probe(part.sigma);
+    } else {
+      probe(*sim_);
     }
     // Bound descending, table id ascending on ties. With the id-ascending
     // tie rule, once one candidate is prunable against the current
@@ -1098,6 +1120,9 @@ std::vector<SearchHit> SearchEngine::SearchCandidatesImpl(
   // Hungarian mapping cache is per partition.
   std::optional<QuerySigmaTable> query_sigma;
   const QuerySigmaTable* sigma = batch_sigma;
+  // A per-query bound reads the σ table's maxima for its own entities, so
+  // a batch's table only ever comes with the batch's fused bounds.
+  THETIS_CHECK(sigma == nullptr || fused_bounds != nullptr || !q.prune);
   if (sigma == nullptr) {
     sigma = &query_sigma.emplace(SigmaTableFor(
         query.DistinctEntities(), cands, parallel ? pool : nullptr));
@@ -1319,9 +1344,10 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
   }
 
   // Phase B: the fused table-major bound pass. One walk over each
-  // shard's arena; every table's distinct-entity slice is gathered ONCE
-  // and scored against the whole union, segmented into per-(entity,
-  // column) maxima, then each query's bound is assembled from its rows of
+  // shard's arena; every table's per-(entity, column) maxima are computed
+  // ONCE for the whole union (the σ table's entities) — by the table's
+  // fused kernel when it is built, else by one multi-query σ batch and a
+  // segmented max — then each query's bound is assembled from its rows of
   // those maxima. Tables no shard covers (late ingests) keep +inf —
   // always scored, never pruned, exactly like the per-query path.
   obs::TraceSpan bound_span("fused_bound");
@@ -1338,6 +1364,7 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
   std::vector<double> union_sigma;
   std::vector<double> union_colmax;
   BoundScratch scratch;
+  scratch.row_step = nu;
   const TableTombstones* tombs =
       options_.tombstones != nullptr && !options_.tombstones->empty()
           ? options_.tombstones.get()
@@ -1363,8 +1390,12 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
       const size_t num_rows = (*row_counts_)[id];
       const size_t union_count = view.DistinctCount();
       const size_t num_columns = view.num_columns;
-      union_colmax.assign(nu * num_columns, 0.0);
-      if (union_count > 0 && nu > 0) {
+      union_colmax.resize(num_columns * nu);
+      if (union_count == 0 || nu == 0) {
+        std::fill(union_colmax.begin(), union_colmax.end(), 0.0);
+      } else if (!compressed && sigma.built()) {
+        reader.ColumnMaxima(view, union_colmax.data());
+      } else {
         const EntityId* distinct = view.distinct + view.DistinctBegin();
         union_sigma.resize(nu * union_count);
         // One multi-query pass covers the whole union.
@@ -1372,8 +1403,8 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
           sim_->UpperBoundBatchMulti(union_entities.data(), nu, distinct,
                                      union_count, union_sigma.data());
         } else {
-          reader.ScoreBatchMulti(union_entities.data(), nu, distinct,
-                                 union_count, union_sigma.data());
+          sim_->ScoreBatchMulti(union_entities.data(), nu, distinct,
+                                union_count, union_sigma.data());
         }
         ColumnMaxima(view, union_sigma.data(), nu, union_colmax.data());
       }
@@ -1383,8 +1414,7 @@ void SearchEngine::FusedBoundPass(std::span<const Query> queries,
       for (size_t q = 0; q < queries.size(); ++q) {
         scratch.rows.resize(slot_of[q].size());
         for (size_t i = 0; i < slot_of[q].size(); ++i) {
-          scratch.rows[i] =
-              union_colmax.data() + slot_of[q][i] * num_columns;
+          scratch.rows[i] = union_colmax.data() + slot_of[q][i];
         }
         out->by_table[q][id] = AssembleMappingBound(
             ctxs[q], num_rows, num_columns, options_.aggregation, scratch);

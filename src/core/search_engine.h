@@ -176,7 +176,7 @@ struct SearchStats {
   // σ pairs served from the query's σ table / computed by the base σ for
   // it (the table's fills, plus pairs whose target is outside the
   // vocabulary). Both stay zero when the query's candidates are too few
-  // for the table to fill rows; a fused batch's fills count for no query.
+  // for the table to be filled; a fused batch's fills count for no query.
   size_t sim_cache_hits = 0;
   size_t sim_cache_misses = 0;
   // Hungarian mappings reused via the column-signature cache / solved fresh:
@@ -373,10 +373,10 @@ class SearchEngine {
                         QueryScopedCache* cache) const;
 
   // The σ table of a query (or a fused batch) with distinct `entities`
-  // over `candidates`: rows when caching is enabled and the candidates'
-  // distinct-entity unions add up to at least the vocabulary size (the
-  // pass then serves each entity at least as many pairs as a row costs),
-  // else none. Rows are filled on `pool` when it is non-null.
+  // over `candidates`: filled when caching is enabled and the
+  // candidates' distinct-entity unions add up to at least the vocabulary
+  // size (the pass then serves each entity at least as many pairs as its
+  // fill costs), else empty. The fill runs on `pool` when it is non-null.
   QuerySigmaTable SigmaTableFor(std::vector<EntityId> entities,
                                 std::span<const TableId> candidates,
                                 ThreadPool* pool = nullptr) const;

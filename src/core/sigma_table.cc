@@ -16,6 +16,15 @@ SigmaVocabulary::SigmaVocabulary(std::span<const EntityId> entities)
   }
 }
 
+namespace {
+
+// Vocabulary slots per fill block: one entity's σ over a block fits a small
+// stack buffer, and each block is one contiguous run of the table, so
+// pooled tasks write disjoint memory.
+constexpr size_t kFillBlock = 512;
+
+}  // namespace
+
 QuerySigmaTable::QuerySigmaTable(const EntitySimilarity* base,
                                  const SigmaVocabulary* vocab,
                                  std::vector<EntityId> entities,
@@ -23,59 +32,58 @@ QuerySigmaTable::QuerySigmaTable(const EntitySimilarity* base,
     : base_(base), vocab_(vocab), entities_(std::move(entities)) {
   THETIS_CHECK(base != nullptr && vocab != nullptr);
   const size_t v = vocab->size();
-  if (v == 0 || pairs_per_entity < v || entities_.empty()) return;
-  rows_.resize(entities_.size() * v);
-  auto fill = [&](size_t i) {
-    base_->ScoreBatch(entities_[i], vocab->data(), v, rows_.data() + i * v);
+  const size_t e = entities_.size();
+  if (v == 0 || pairs_per_entity < v || e == 0) return;
+  cols_.resize(v * e);
+  // Per entity, one base ScoreBatch over the block's slots, scattered into
+  // the entity's lane of each slot.
+  auto fill = [&](size_t block) {
+    const size_t begin = block * kFillBlock;
+    const size_t count = std::min(kFillBlock, v - begin);
+    double sigma[kFillBlock];
+    for (size_t i = 0; i < e; ++i) {
+      base_->ScoreBatch(entities_[i], vocab->data() + begin, count, sigma);
+      double* lane = cols_.data() + begin * e + i;
+      for (size_t k = 0; k < count; ++k) lane[k * e] = sigma[k];
+    }
   };
+  const size_t blocks = (v + kFillBlock - 1) / kFillBlock;
   if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(entities_.size(), /*min_chunk=*/1, fill);
+    pool->ParallelFor(blocks, /*min_chunk=*/1, fill);
   } else {
-    for (size_t i = 0; i < entities_.size(); ++i) fill(i);
+    for (size_t b = 0; b < blocks; ++b) fill(b);
   }
 }
 
 const double* QuerySigmaTable::RowOf(EntityId q) const {
-  if (rows_.empty()) return nullptr;
+  if (cols_.empty()) return nullptr;
   auto it = std::lower_bound(entities_.begin(), entities_.end(), q);
   if (it == entities_.end() || *it != q) return nullptr;
-  return rows_.data() + static_cast<size_t>(it - entities_.begin()) *
-                            vocab_->size();
+  return cols_.data() + (it - entities_.begin());
 }
 
-void SigmaReader::ScoreBatchMulti(const EntityId* qs, size_t nq,
-                                  const EntityId* targets, size_t count,
-                                  double* out) const {
-  if (!table_->built()) {
-    table_->base().ScoreBatchMulti(qs, nq, targets, count, out);
-    return;
-  }
-  if (!std::equal(qs, qs + nq, row_entities_.begin(), row_entities_.end())) {
-    row_entities_.assign(qs, qs + nq);
-    rows_.resize(nq);
-    for (size_t j = 0; j < nq; ++j) rows_[j] = table_->RowOf(qs[j]);
-  }
-  // One slot lookup per target serves every query entity's gather.
+void SigmaReader::ColumnMaxima(ColumnIndexView view, double* out) const {
+  const std::vector<EntityId>& entities = table_->entities();
+  const size_t e = entities.size();
   const SigmaVocabulary& vocab = table_->vocab();
-  slots_.resize(count);
-  for (size_t k = 0; k < count; ++k) slots_[k] = vocab.SlotOf(targets[k]);
-  for (size_t j = 0; j < nq; ++j) {
-    const double* row = rows_[j];
-    double* o = out + j * count;
-    if (row == nullptr) {
-      table_->base().ScoreBatch(qs[j], targets, count, o);
-      continue;
-    }
-    for (size_t k = 0; k < count; ++k) {
-      if (slots_[k] != SigmaVocabulary::kNoSlot) {
-        o[k] = row[slots_[k]];
+  for (size_t c = 0; c < view.num_columns; ++c) {
+    double* acc = out + c * e;
+    std::fill(acc, acc + e, 0.0);
+    for (uint32_t d = view.offsets[c]; d < view.offsets[c + 1]; ++d) {
+      const EntityId target = view.distinct[d];
+      const uint32_t slot = vocab.SlotOf(target);
+      if (slot != SigmaVocabulary::kNoSlot) {
+        const double* sigma = table_->Slot(slot);
+        for (size_t i = 0; i < e; ++i) acc[i] = std::max(acc[i], sigma[i]);
       } else {
-        o[k] = table_->base().Score(qs[j], targets[k]);
-        ++misses_;
+        for (size_t i = 0; i < e; ++i) {
+          acc[i] = std::max(acc[i], table_->base().Score(entities[i], target));
+        }
+        misses_ += e;
       }
     }
-    served_ += count;
   }
+  served_ += e * view.DistinctCount();
 }
 
 }  // namespace thetis

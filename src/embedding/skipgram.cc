@@ -82,11 +82,22 @@ struct SerialKernels {
 // exclusion to cover them. Every racy load/store of shared training state
 // goes through exactly these three functions.
 struct HogwildKernels {
+  // Eight independent partial sums, so the products vectorize instead of
+  // chaining through one accumulator (Hogwild is not bit-reproducible, so
+  // the summation order is free).
   THETIS_NO_SANITIZE_THREAD
   static double Dot(const float* a, const float* b, size_t n) {
-    double acc = 0.0;
-    for (size_t i = 0; i < n; ++i) acc += static_cast<double>(a[i]) * b[i];
-    return acc;
+    constexpr size_t kLanes = 8;
+    double acc[kLanes] = {};
+    size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        acc[l] += static_cast<double>(a[i + l]) * b[i + l];
+      }
+    }
+    for (; i < n; ++i) acc[0] += static_cast<double>(a[i]) * b[i];
+    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+           ((acc[4] + acc[5]) + (acc[6] + acc[7]));
   }
   // acc += g * y (acc is private scratch), then y += g * x with y a shared
   // syn1neg row: the pair update's read and write of the output row.

@@ -9,15 +9,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <random>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "benchgen/benchmark_factory.h"
+#include "core/column_mapping.h"
 #include "core/search_engine.h"
 #include "core/semrel.h"
+#include "core/sigma_table.h"
 #include "core/similarity.h"
 #include "embedding/embedding_store.h"
 #include "obs/trace.h"
@@ -871,6 +876,162 @@ TEST(UpperBoundTest, MicroTableAdversarialSweep) {
   }
 }
 
+// The bound of a one-tuple query by brute force: every injective partial
+// assignment of the tuple's positions to the table's columns, each mapped
+// position at its maximum σ over the column (kAvg's 1e-9 slack included),
+// the distance summed in DistanceSimilarity's order and expression. The
+// minimum distance gives the bound, with the engine's final 1e-12 slack;
+// 0 when no σ in the table is positive. With `injective` false each
+// position takes its own best column: the assignment-free bound the
+// engine keeps when the search runs out of nodes.
+double BruteForceTupleBound(const std::vector<EntityId>& tuple,
+                            const Table& table, const EntitySimilarity& sim,
+                            const std::vector<double>& weights,
+                            RowAggregation aggregation, bool injective) {
+  const size_t m = tuple.size();
+  const size_t cols = table.num_columns();
+  std::vector<std::vector<double>> coord(m, std::vector<double>(cols, 0.0));
+  bool any_positive = false;
+  for (size_t i = 0; i < m; ++i) {
+    if (tuple[i] == kNoEntity) continue;
+    for (size_t c = 0; c < cols; ++c) {
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        if (table.link(r, c) == kNoEntity) continue;
+        coord[i][c] =
+            std::max(coord[i][c], sim.Score(tuple[i], table.link(r, c)));
+      }
+      any_positive = any_positive || coord[i][c] > 0.0;
+      if (aggregation == RowAggregation::kAvg) {
+        coord[i][c] = std::min(1.0, coord[i][c] * (1.0 + 1e-9));
+      }
+    }
+  }
+  if (!any_positive) return 0.0;
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<int> column(m, -1);
+  std::function<void(size_t)> enumerate = [&](size_t i) {
+    if (i == m) {
+      double sum = 0.0;
+      for (size_t j = 0; j < m; ++j) {
+        const double x = column[j] < 0 ? 0.0 : coord[j][column[j]];
+        double miss = 1.0 - x;
+        sum += weights[j] * miss * miss;
+      }
+      best = std::min(best, sum);
+      return;
+    }
+    for (int c = -1; c < static_cast<int>(cols); ++c) {
+      // A column without positive σ costs what leaving i unmapped costs.
+      if (c >= 0 && coord[i][c] <= 0.0) continue;
+      bool taken = false;
+      for (size_t j = 0; j < i; ++j) taken |= c >= 0 && column[j] == c;
+      if (taken && injective) continue;
+      column[i] = c;
+      enumerate(i + 1);
+    }
+    column[i] = -1;
+  };
+  enumerate(0);
+  return (1.0 / (std::sqrt(best) + 1.0)) * (1.0 + 1e-12);
+}
+
+// The assignment search's width limits, with σ levels that tie across
+// columns: one-tuple queries of width 16 (kMaxSearchWidth, the widest
+// tuple the search takes) and 17 (search skipped: each position at its
+// own best column) on a 19-column table, and of width 1 to 6, where the
+// bound must equal the brute-force injective minimum bit for bit. The one
+// exception is a search that runs out of its 1024 nodes, which a width-4
+// tuple never does (at most 781); a wider one may, and then keeps the
+// assignment-free bound. At every width the
+// bound dominates the exact score and the fused pass — which reads the σ
+// table's column maxima — matches UpperBoundTable bit for bit.
+TEST(UpperBoundTest, AssignmentSearchWidthLimits) {
+  std::mt19937_64 rng(17);
+  auto uniform = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  MicroLake micro(24);
+  const std::vector<EntityId>& ents = micro.entities;
+  for (size_t i = 0; i < ents.size(); ++i) {
+    for (size_t j = i + 1; j < ents.size(); ++j) {
+      const size_t level = uniform(6);  // 0 leaves the pair at σ = 0
+      if (level > 0) {
+        micro.sim.Set(ents[i], ents[j], static_cast<double>(level) / 6.0);
+      }
+    }
+  }
+  std::vector<std::vector<EntityId>> cells(3, std::vector<EntityId>(19));
+  for (auto& row : cells) {
+    for (EntityId& cell : row) {
+      cell = uniform(6) == 0 ? kNoEntity : ents[uniform(ents.size())];
+    }
+  }
+  const TableId wide = micro.AddTable(cells);
+  for (auto& row : cells) row.resize(7);
+  micro.AddTable(cells);
+  micro.AddTable({{ents[0], ents[1]}, {ents[2], kNoEntity}});
+  std::vector<Query> queries;
+  for (size_t width : {1, 2, 3, 4, 5, 6, 16, 17}) {
+    for (size_t k = 0; k < 6; ++k) {
+      std::vector<EntityId> tuple;
+      for (size_t i = 0; i < width; ++i) {
+        // Repeats and kNoEntity positions now and then.
+        tuple.push_back(uniform(8) == 0 ? kNoEntity
+                                        : ents[uniform(ents.size())]);
+      }
+      queries.push_back(Query{{tuple}});
+    }
+  }
+
+  SemanticDataLake lake(&micro.corpus, &micro.kg);
+  size_t brute_forced = 0;
+  size_t ran_out = 0;
+  for (RowAggregation agg : {RowAggregation::kMax, RowAggregation::kAvg}) {
+    for (bool informativeness : {false, true}) {
+      SearchOptions options;
+      options.aggregation = agg;
+      options.use_informativeness = informativeness;
+      SearchEngine engine(&lake, &micro.sim, options);
+      const std::string label =
+          std::string(agg == RowAggregation::kMax ? "max" : "avg") +
+          (informativeness ? " weighted" : " unweighted");
+      const auto fused = engine.UpperBoundBatch(queries);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const std::vector<EntityId>& tuple = queries[q].tuples[0];
+        for (TableId t = 0; t < micro.corpus.size(); ++t) {
+          const std::string where = label + " width " +
+                                    std::to_string(tuple.size()) +
+                                    " query " + std::to_string(q) +
+                                    " table " + std::to_string(t);
+          const double bound = engine.UpperBoundTable(queries[q], t);
+          EXPECT_GE(bound, engine.ScoreTable(queries[q], t)) << where;
+          EXPECT_EQ(fused[q][t], bound) << where;
+          // (Brute force over 19 columns stops at width 4.)
+          if (tuple.size() > (t == wide ? 4u : 6u)) continue;
+          std::vector<double> weights(tuple.size(), 1.0);
+          for (size_t i = 0; i < tuple.size(); ++i) {
+            if (informativeness && tuple[i] != kNoEntity) {
+              weights[i] = lake.Informativeness(tuple[i]);
+            }
+          }
+          const Table& table = micro.corpus.table(t);
+          const double best = BruteForceTupleBound(tuple, table, micro.sim,
+                                                   weights, agg, true);
+          ++brute_forced;
+          if (bound != best && tuple.size() > 4 &&
+              bound == BruteForceTupleBound(tuple, table, micro.sim, weights,
+                                            agg, false)) {
+            ++ran_out;
+            continue;
+          }
+          EXPECT_EQ(bound, best) << where;
+        }
+      }
+    }
+  }
+  EXPECT_GE(micro.corpus.table(wide).num_columns(), 17u);
+  // Nearly every search finishes within its budget.
+  EXPECT_LT(ran_out * 20, brute_forced);
+}
+
 // --- Stats invariants ---------------------------------------------------------------
 
 // Every candidate is either scored exactly or pruned, and a floor hit is a
@@ -981,6 +1142,64 @@ TEST(SigmaTableTest, PooledShardsFillEachRowOnce) {
     EXPECT_EQ(serial_stats.sim_cache_misses, entities * vocab) << label;
     ExpectSameHits(uncached.SearchParallel(f.queries[q], &pool), pooled,
                    label + " uncached");
+  }
+}
+
+// The σ table filled on a pool (one block of vocabulary slots per task)
+// holds the serial fill's values, and the fused column-maxima kernel run
+// from pool workers — each with its own SigmaReader over the one shared,
+// read-only table — gives every table's maxima for a batch's entity union
+// bit for bit as the base σ and a segmented max do. CI runs this suite
+// under TSan.
+TEST(SigmaTableTest, PooledKernelMatchesSegmentedMax) {
+  ExecutorFixture f(408, 8);
+  const SigmaVocabulary vocab(f.lake.MentionedEntities());
+  std::vector<EntityId> entities;
+  for (const Query& query : f.queries) {
+    for (EntityId e : query.DistinctEntities()) entities.push_back(e);
+  }
+  std::sort(entities.begin(), entities.end());
+  entities.erase(std::unique(entities.begin(), entities.end()),
+                 entities.end());
+  const size_t e = entities.size();
+  ThreadPool pool(3);
+  const QuerySigmaTable pooled(&f.sim, &vocab, entities, vocab.size(), &pool);
+  const QuerySigmaTable serial(&f.sim, &vocab, entities, vocab.size());
+  ASSERT_TRUE(pooled.built());
+  ASSERT_GT(vocab.size(), 1000u);  // several fill blocks
+  for (uint32_t slot = 0; slot < vocab.size(); ++slot) {
+    ASSERT_EQ(0, std::memcmp(pooled.Slot(slot), serial.Slot(slot),
+                             e * sizeof(double)))
+        << "slot " << slot;
+  }
+
+  const Corpus& corpus = f.bench.lake.corpus;
+  std::vector<ColumnEntityIndex> indexes(corpus.size());
+  std::vector<std::vector<double>> expected(corpus.size());
+  DedupScratch dedup;
+  for (TableId t = 0; t < corpus.size(); ++t) {
+    indexes[t].Build(corpus.table(t), dedup);
+    const ColumnIndexView view = indexes[t].View();
+    expected[t].assign(view.num_columns * e, 0.0);
+    for (size_t c = 0; c < view.num_columns; ++c) {
+      for (size_t i = 0; i < e; ++i) {
+        double& m = expected[t][c * e + i];
+        for (uint32_t d = view.offsets[c]; d < view.offsets[c + 1]; ++d) {
+          m = std::max(m, f.sim.Score(entities[i], view.distinct[d]));
+        }
+      }
+    }
+  }
+  std::vector<std::vector<double>> got(corpus.size());
+  pool.ParallelFor(corpus.size(), [&](size_t t) {
+    const SigmaReader reader(&pooled);
+    got[t].resize(expected[t].size());
+    reader.ColumnMaxima(indexes[t].View(), got[t].data());
+  });
+  for (TableId t = 0; t < corpus.size(); ++t) {
+    EXPECT_EQ(0, std::memcmp(got[t].data(), expected[t].data(),
+                             got[t].size() * sizeof(double)))
+        << "table " << t;
   }
 }
 

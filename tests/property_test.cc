@@ -6,13 +6,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <tuple>
 
 #include "assignment/hungarian.h"
+#include "benchgen/benchmark_factory.h"
 #include "benchgen/metrics.h"
+#include "core/column_mapping.h"
 #include "core/extended_similarity.h"
+#include "core/search_engine.h"
 #include "core/semrel.h"
 #include "core/sigma_table.h"
 #include "core/similarity.h"
@@ -20,6 +24,7 @@
 #include "lsh/band_index.h"
 #include "lsh/hyperplane.h"
 #include "lsh/minhash.h"
+#include "semantic/semantic_data_lake.h"
 #include "util/rng.h"
 #include "util/top_k.h"
 
@@ -241,10 +246,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SemRelAxiomSweep,
 // --- The query σ table is exact, not approximate ----------------------------------
 
 // Serves every (table entity, target) pair through a SigmaReader — one
-// batch per entity and one multi-query batch — on tables offered one pair
-// short of the vocabulary size, exactly the vocabulary size and more, and
-// checks each value against the base Score bit for bit. About half of the
-// n entities are in the vocabulary, and the table's entities include ones
+// batch per entity and, on a built table, the fused column-maxima kernel
+// over the targets cut into columns — on tables offered one pair short of
+// the vocabulary size, exactly the vocabulary size and more, and checks
+// each value against the base Score bit for bit. About half of the n
+// entities are in the vocabulary, and the table's entities include ones
 // outside it, so the out-of-vocabulary fallback is exercised on both
 // sides of the pair.
 void ExpectSigmaTableExact(const EntitySimilarity& base, size_t n,
@@ -287,17 +293,31 @@ void ExpectSigmaTableExact(const EntitySimilarity& base, size_t n,
             << label << " pair (" << q << ", " << t << ")";
       }
     }
-    std::vector<double> multi(entities.size() * n);
-    reader.ScoreBatchMulti(entities.data(), entities.size(), targets.data(), n,
-                           multi.data());
-    for (size_t j = 0; j < entities.size(); ++j) {
-      for (EntityId t = 0; t < n; ++t) {
-        EXPECT_EQ(multi[j * n + t], base.Score(entities[j], t))
-            << label << " multi pair (" << entities[j] << ", " << t << ")";
+    if (built) {
+      // The targets in columns of 0, 1, 2, ... entities (the first empty).
+      std::vector<uint32_t> offsets = {0};
+      for (size_t width = 0; offsets.back() < n; ++width) {
+        offsets.push_back(static_cast<uint32_t>(
+            std::min<size_t>(offsets.back() + width, n)));
+      }
+      const size_t e = entities.size();
+      const ColumnIndexView view{offsets.data(), targets.data(), nullptr,
+                                 offsets.size() - 1};
+      std::vector<double> maxima(view.num_columns * e);
+      reader.ColumnMaxima(view, maxima.data());
+      for (size_t c = 0; c < view.num_columns; ++c) {
+        for (size_t i = 0; i < e; ++i) {
+          double m = 0.0;
+          for (uint32_t d = offsets[c]; d < offsets[c + 1]; ++d) {
+            m = std::max(m, base.Score(entities[i], targets[d]));
+          }
+          EXPECT_EQ(maxima[c * e + i], m)
+              << label << " column " << c << " entity " << entities[i];
+        }
       }
     }
-    // Both passes served every pair: in-vocabulary targets from the rows,
-    // the rest from the base σ. Without rows nothing is counted.
+    // Both passes served every pair: in-vocabulary targets from the table,
+    // the rest from the base σ. Without values nothing is counted.
     const size_t passes = 2 * entities.size();
     EXPECT_EQ(reader.hits(), built ? passes * v : 0u) << label;
     EXPECT_EQ(reader.misses(), built ? passes * (n - v) : 0u) << label;
@@ -344,6 +364,156 @@ TEST_P(SigmaTableSweep, WuPalmerValuesEqualBaseScoreExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SigmaTableSweep,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// --- The fused bound kernel equals base σ + segmented max -------------------------
+
+// The bound's per-(entity, column) maxima as the base-σ path computes
+// them: one base ScoreBatch per entity over the view's distinct union,
+// then a max per column slice starting at 0. Column-major, like
+// SigmaReader::ColumnMaxima.
+std::vector<double> SegmentedMaxima(const EntitySimilarity& base,
+                                    const std::vector<EntityId>& entities,
+                                    ColumnIndexView view) {
+  const size_t e = entities.size();
+  const uint32_t begin = view.DistinctBegin();
+  std::vector<double> sigma(view.DistinctCount());
+  std::vector<double> out(view.num_columns * e);
+  for (size_t i = 0; i < e; ++i) {
+    base.ScoreBatch(entities[i], view.distinct + begin, sigma.size(),
+                    sigma.data());
+    for (size_t c = 0; c < view.num_columns; ++c) {
+      double m = 0.0;
+      for (uint32_t d = view.offsets[c]; d < view.offsets[c + 1]; ++d) {
+        m = std::max(m, sigma[d - begin]);
+      }
+      out[c * e + i] = m;
+    }
+  }
+  return out;
+}
+
+// Runs the fused kernel of a built σ table over every table of a benchgen
+// micro-lake plus a hand-built 70-column view (empty and one-entity
+// columns, targets outside the vocabulary, offsets not starting at 0),
+// once per query and once for the batch's entity union — wider than any
+// one query — and checks every maximum against SegmentedMaxima bit for
+// bit, and the pair accounting against the targets served.
+void ExpectKernelMatchesSegmentedMax(const benchgen::Benchmark& bench,
+                                     const EntitySimilarity& base,
+                                     uint64_t seed) {
+  SemanticDataLake lake(&bench.lake.corpus, &bench.kg.kg);
+  const SigmaVocabulary vocab(lake.MentionedEntities());
+  ASSERT_GT(vocab.size(), 0u);
+  std::vector<ColumnEntityIndex> indexes(bench.lake.corpus.size());
+  DedupScratch dedup;
+  for (TableId t = 0; t < indexes.size(); ++t) {
+    indexes[t].Build(bench.lake.corpus.table(t), dedup);
+  }
+  Rng rng(seed);
+  std::vector<EntityId> outside;
+  for (EntityId e = 0; e < bench.kg.kg.num_entities(); ++e) {
+    if (vocab.SlotOf(e) == SigmaVocabulary::kNoSlot) outside.push_back(e);
+  }
+  ASSERT_FALSE(outside.empty());
+  std::vector<EntityId> pool = {kNoEntity, kNoEntity, kNoEntity};
+  std::vector<uint32_t> offsets = {static_cast<uint32_t>(pool.size())};
+  size_t outside_targets = 0;
+  for (size_t c = 0; c < 70; ++c) {
+    const size_t width =
+        c % 5 == 0 ? 0 : (c % 5 == 1 ? 1 : 2 + rng.NextBounded(5));
+    for (size_t d = 0; d < width; ++d) {
+      if (rng.NextBounded(6) == 0) {
+        pool.push_back(outside[rng.NextBounded(outside.size())]);
+        ++outside_targets;
+      } else {
+        pool.push_back(vocab.data()[rng.NextBounded(vocab.size())]);
+      }
+    }
+    offsets.push_back(static_cast<uint32_t>(pool.size()));
+  }
+  std::vector<ColumnIndexView> views;
+  for (const ColumnEntityIndex& index : indexes) views.push_back(index.View());
+  views.push_back(ColumnIndexView{offsets.data(), pool.data(), nullptr, 70});
+
+  std::vector<std::vector<EntityId>> entity_sets;
+  std::vector<EntityId> batch;
+  for (const auto& gq : benchgen::MakeQueries(bench.kg, 3, seed + 1)) {
+    entity_sets.push_back(gq.query.DistinctEntities());
+    batch.insert(batch.end(), entity_sets.back().begin(),
+                 entity_sets.back().end());
+  }
+  std::sort(batch.begin(), batch.end());
+  batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
+  for (const auto& set : entity_sets) ASSERT_LT(set.size(), batch.size());
+  entity_sets.push_back(batch);
+
+  for (size_t s = 0; s < entity_sets.size(); ++s) {
+    const std::vector<EntityId>& entities = entity_sets[s];
+    const QuerySigmaTable table(&base, &vocab, entities, vocab.size());
+    ASSERT_TRUE(table.built());
+    SigmaReader reader(&table);
+    size_t served = 0;
+    for (size_t v = 0; v < views.size(); ++v) {
+      const ColumnIndexView view = views[v];
+      const std::vector<double> expected =
+          SegmentedMaxima(base, entities, view);
+      std::vector<double> got(expected.size(), -1.0);
+      reader.ColumnMaxima(view, got.data());
+      ASSERT_EQ(0, std::memcmp(got.data(), expected.data(),
+                               got.size() * sizeof(double)))
+          << base.name() << " entity set " << s << " view " << v << " of "
+          << views.size();
+      served += entities.size() * view.DistinctCount();
+    }
+    EXPECT_EQ(reader.hits() + reader.misses(), served) << base.name();
+    EXPECT_EQ(reader.misses(), entities.size() * outside_targets)
+        << base.name();
+  }
+}
+
+class KernelParitySweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(KernelParitySweep, TypeJaccardMaximaEqualSegmentedBaseMax) {
+  const benchgen::Benchmark bench = benchgen::MakeBenchmark(
+      benchgen::PresetKind::kWt2015Like, 0.01, GetParam() + 700);
+  TypeJaccardSimilarity base(&bench.kg.kg);
+  ExpectKernelMatchesSegmentedMax(bench, base, GetParam() * 71 + 5);
+}
+
+// Random embeddings centered on 0: many raw cosines are negative, and the
+// clamped σ of those pairs is 0, which the accumulator's start value must
+// not disturb.
+TEST_P(KernelParitySweep, EmbeddingCosineMaximaEqualSegmentedBaseMax) {
+  const benchgen::Benchmark bench = benchgen::MakeBenchmark(
+      benchgen::PresetKind::kWt2015Like, 0.01, GetParam() + 800);
+  const size_t n = bench.kg.kg.num_entities();
+  EmbeddingStore store(n, 8);
+  Rng rng(GetParam() * 73 + 1);
+  for (EntityId e = 0; e < n; ++e) {
+    float* row = store.mutable_vector(e);
+    for (size_t d = 0; d < 8; ++d) {
+      row[d] = static_cast<float>(rng.NextDouble()) - 0.5f;
+    }
+  }
+  store.NormalizeAll();
+  size_t negative = 0;
+  for (EntityId e = 1; e < std::min<size_t>(n, 64); ++e) {
+    negative += store.Cosine(0, e) < 0.0f;
+  }
+  ASSERT_GT(negative, 0u);
+  EmbeddingCosineSimilarity base(&store);
+  ExpectKernelMatchesSegmentedMax(bench, base, GetParam() * 79 + 3);
+}
+
+TEST_P(KernelParitySweep, WuPalmerMaximaEqualSegmentedBaseMax) {
+  const benchgen::Benchmark bench = benchgen::MakeBenchmark(
+      benchgen::PresetKind::kWt2015Like, 0.01, GetParam() + 900);
+  WuPalmerSimilarity base(&bench.kg.kg);
+  ExpectKernelMatchesSegmentedMax(bench, base, GetParam() * 83 + 7);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelParitySweep,
+                         ::testing::Values(1, 2, 3));
 
 // --- DistanceSimilarity properties across dimensionality ---------------------------
 
